@@ -27,7 +27,6 @@ from .errors import (
 from .gradcheck import gradient_check
 from .lsc import (
     ProxyBank,
-    cosine_logits,
     cross_entropy_loss,
     imprint_new_classes,
     kmeans,
@@ -76,7 +75,6 @@ __all__ = [
     "Total",
     "adaptive_scale",
     "average_incremental_accuracy",
-    "cosine_logits",
     "cross_entropy_loss",
     "evaluate",
     "generate_synthetic_dataset",

@@ -9,9 +9,7 @@ into a dense layer producing the flat embedding.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,7 +166,7 @@ class Backbone:
             model.params[name] = Tensor(arr.copy(), requires_grad=requires_grad)
         return model
 
-    # -- checkpoint file (named parameter tensors, bit-exact round trip) ----
+    # -- checkpoint state (named parameter tensors, bit-exact JSON round trip)
 
     def state(self) -> dict:
         return {
@@ -190,14 +188,3 @@ class Backbone:
             for name, p in state["params"].items()
         }
         return cls.from_params(config, values)
-
-    def save(self, path: str) -> None:
-        tmp = f"{path}.tmp"
-        with open(tmp, "w") as fh:
-            json.dump(self.state(), fh)
-        os.replace(tmp, path)
-
-    @classmethod
-    def load(cls, path: str) -> "Backbone":
-        with open(path) as fh:
-            return cls.from_state(json.load(fh))

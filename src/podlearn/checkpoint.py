@@ -1,4 +1,4 @@
-"""Atomic JSON persistence for run state and model snapshots.
+"""Atomic JSON and text persistence for run state and run outputs.
 
 JSON keeps float64 values bit-exact: Python serializes every finite double
 with its shortest round-tripping decimal form.
@@ -8,42 +8,35 @@ from __future__ import annotations
 
 import json
 import os
+from typing import Iterable
 
-from .backbone import Backbone
 from .errors import FormatError
-from .lsc import ProxyBank
 
 RUN_CHECKPOINT_VERSION = 1
 
 
-def save_json(path: str, obj: dict) -> None:
+def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` in order to a temporary file, fsync it, then rename
+    it over ``path``.
+
+    Chunks are written as they come, so a streamed document (such as
+    ``JSONEncoder.iterencode``) is never held in memory as one string.
+    """
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
-        json.dump(obj, fh)
+        fh.writelines(chunks)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
+def save_json(path: str, obj: dict) -> None:
+    write_text_atomic(path, json.JSONEncoder().iterencode(obj))
+
+
 def load_json(path: str) -> dict:
     with open(path) as fh:
         return json.load(fh)
-
-
-def save_model(path: str, backbone: Backbone, bank: ProxyBank) -> None:
-    """Model snapshot: backbone parameters plus the classifier proxy bank."""
-    save_json(path, {
-        "version": RUN_CHECKPOINT_VERSION,
-        "backbone": backbone.state(),
-        "bank": bank.state(),
-    })
-
-
-def load_model(path: str) -> tuple[Backbone, ProxyBank]:
-    blob = load_json(path)
-    if blob.get("version") != RUN_CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported model checkpoint version {blob.get('version')}")
-    return Backbone.from_state(blob["backbone"]), ProxyBank.from_state(blob["bank"])
 
 
 def save_run_checkpoint(path: str, config_echo: dict, runner_state: dict) -> None:

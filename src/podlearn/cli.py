@@ -15,7 +15,7 @@ import os
 import sys
 import time
 
-from .checkpoint import load_run_checkpoint, save_run_checkpoint
+from .checkpoint import load_run_checkpoint, save_run_checkpoint, write_text_atomic
 from .config import ExperimentConfig, parse_synthetic_spec
 from .datasets import generate_synthetic_dataset, save_dataset
 from .errors import ConfigError, ContractError, PodlearnError
@@ -24,15 +24,14 @@ from .protocol import IncrementalRunner
 METRICS_HEADER = "task_index,seen_classes,nme_accuracy,cnn_accuracy"
 
 
-def _append_metrics_row(path: str, row: dict, fresh: bool) -> None:
-    mode = "w" if fresh else "a"
-    with open(path, mode) as fh:
-        if fresh:
-            fh.write(METRICS_HEADER + "\n")
-        fh.write(
-            f"{row['task_index']},{row['seen_classes']},"
-            f"{row['nme_accuracy']!r},{row['cnn_accuracy']!r}\n"
-        )
+def _metrics_row(task_index: int, seen: int, nme: float, cnn: float) -> str:
+    return f"{task_index},{seen},{nme!r},{cnn!r}\n"
+
+
+def _append_metrics_row(path: str, row: dict) -> None:
+    with open(path, "a") as fh:
+        fh.write(_metrics_row(row["task_index"], row["seen_classes"],
+                              row["nme_accuracy"], row["cnn_accuracy"]))
         fh.flush()
         os.fsync(fh.fileno())
 
@@ -42,9 +41,7 @@ def _rewrite_metrics(path: str, runner: IncrementalRunner) -> None:
     with open(path, "w") as fh:
         fh.write(METRICS_HEADER + "\n")
         for i in range(len(m.nme_accuracy)):
-            fh.write(
-                f"{i},{m.seen_classes[i]},{m.nme_accuracy[i]!r},{m.cnn_accuracy[i]!r}\n"
-            )
+            fh.write(_metrics_row(i, m.seen_classes[i], m.nme_accuracy[i], m.cnn_accuracy[i]))
 
 
 def _write_outputs(out_dir: str, cfg: ExperimentConfig, runner: IncrementalRunner,
@@ -58,18 +55,14 @@ def _write_outputs(out_dir: str, cfg: ExperimentConfig, runner: IncrementalRunne
         "metadata": m.metadata,
         "wall_time_seconds": wall_time,
     }
-    tmp = os.path.join(out_dir, "summary.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(summary, fh, indent=2)
-    os.replace(tmp, os.path.join(out_dir, "summary.json"))
+    write_text_atomic(os.path.join(out_dir, "summary.json"),
+                      json.JSONEncoder(indent=2).iterencode(summary))
 
-    tmp = os.path.join(out_dir, "plot_data.csv.tmp")
-    with open(tmp, "w") as fh:
-        fh.write("mode,task_index,seen_classes,accuracy\n")
-        for mode, series in (("nme", m.nme_accuracy), ("cnn", m.cnn_accuracy)):
-            for i, acc in enumerate(series):
-                fh.write(f"{mode},{i},{m.seen_classes[i]},{acc!r}\n")
-    os.replace(tmp, os.path.join(out_dir, "plot_data.csv"))
+    lines = ["mode,task_index,seen_classes,accuracy\n"]
+    for mode, series in (("nme", m.nme_accuracy), ("cnn", m.cnn_accuracy)):
+        for i, acc in enumerate(series):
+            lines.append(f"{mode},{i},{m.seen_classes[i]},{acc!r}\n")
+    write_text_atomic(os.path.join(out_dir, "plot_data.csv"), lines)
 
 
 def cmd_run(args) -> int:
@@ -92,11 +85,9 @@ def cmd_run(args) -> int:
             if saved_cfg != cfg.to_dict():
                 raise ConfigError("checkpoint was produced by a different config")
             runner = IncrementalRunner.from_state(schedule, run_cfg, dataset, state)
-            _rewrite_metrics(metrics_path, runner)
         else:
             runner = IncrementalRunner(schedule, run_cfg, dataset, cfg.seed)
-            with open(metrics_path, "w") as fh:
-                fh.write(METRICS_HEADER + "\n")
+        _rewrite_metrics(metrics_path, runner)
     except (ConfigError, ContractError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
@@ -105,7 +96,7 @@ def cmd_run(args) -> int:
     try:
         while not runner.done:
             row = runner.run_next_task()
-            _append_metrics_row(metrics_path, row, fresh=False)
+            _append_metrics_row(metrics_path, row)
             save_run_checkpoint(ckpt_path, cfg.to_dict(), runner.to_state())
             print(
                 f"task {row['task_index']}: seen={row['seen_classes']} "

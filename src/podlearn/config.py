@@ -17,8 +17,10 @@ from .pod import PodConfig, PodMode
 from .protocol import RunConfig, TaskSchedule
 
 
-def _parse_bool(s: str) -> bool:
-    v = s.strip().lower()
+def _parse_bool(s) -> bool:
+    if isinstance(s, bool):
+        return s
+    v = str(s).strip().lower()
     if v in ("true", "yes", "1"):
         return True
     if v in ("false", "no", "0"):
@@ -37,6 +39,29 @@ def _parse_filters(s) -> tuple[int, ...]:
     if not out:
         raise ValueError("empty filter list")
     return out
+
+
+def _caster(default):
+    """The parser of a field, taken from the type of its default value."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        return _parse_filters
+    return type(default)
+
+
+def _cast_fields(raw: dict, defaults: dict, what: str) -> dict:
+    """Cast raw values by their field's default type; errors name the field."""
+    unknown = sorted(set(raw) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
+    values = {}
+    for key, value in raw.items():
+        try:
+            values[key] = _caster(defaults[key])(value)
+        except (ValueError, TypeError) as err:
+            raise ConfigError(f"field {key}: {err}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -101,16 +126,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        casters = {f.name: _CASTERS[f.name] for f in fields(cls)}
-        unknown = sorted(set(raw) - set(casters))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        values = {}
-        for key, value in raw.items():
-            try:
-                values[key] = casters[key](value)
-            except (ValueError, TypeError) as err:
-                raise ConfigError(f"field {key}: {err}")
+        values = _cast_fields(raw, {f.name: f.default for f in fields(cls)}, "config")
         cfg = cls(**values)
         cfg.validate()
         return cfg
@@ -220,48 +236,6 @@ class ExperimentConfig:
         raise ConfigError(f"unsupported dataset {self.dataset!r}")
 
 
-def _identity_str(v) -> str:
-    return str(v)
-
-
-_CASTERS = {
-    "seed": int,
-    "output_dir": _identity_str,
-    "dataset": _identity_str,
-    "classes": int,
-    "samples_per_class": int,
-    "channels": int,
-    "width": int,
-    "height": int,
-    "pattern_seed": int,
-    "noise_sigma": float,
-    "initial_task_size": int,
-    "increment": int,
-    "stage_filters": _parse_filters,
-    "blocks_per_stage": int,
-    "embedding_dim": int,
-    "pod_mode": _identity_str,
-    "lambda_c": float,
-    "lambda_f": float,
-    "squared_features": lambda v: v if isinstance(v, bool) else _parse_bool(v),
-    "normalize_pooled": lambda v: v if isinstance(v, bool) else _parse_bool(v),
-    "proxies_per_class": int,
-    "margin": float,
-    "eta_init": float,
-    "classifier_loss": _identity_str,
-    "memory_mode": _identity_str,
-    "memory_per_class": int,
-    "memory_total": int,
-    "learning_rate": float,
-    "momentum": float,
-    "epochs_per_task": int,
-    "batch_size": int,
-    "balanced_finetune": lambda v: v if isinstance(v, bool) else _parse_bool(v),
-    "finetune_epochs": int,
-    "finetune_lr": float,
-}
-
-
 def parse_keyvalue(text: str) -> dict:
     """Parse ``key = value`` lines; ``#`` starts a comment. Duplicates rejected."""
     out: dict[str, str] = {}
@@ -281,26 +255,8 @@ def parse_keyvalue(text: str) -> dict:
 
 def parse_synthetic_spec(text: str) -> tuple[SyntheticSpec, int]:
     """Parse a spec file for dataset generation; returns (spec, noise seed)."""
-    raw = parse_keyvalue(text)
-    allowed = {
-        "classes": int,
-        "samples_per_class": int,
-        "channels": int,
-        "width": int,
-        "height": int,
-        "pattern_seed": int,
-        "noise_sigma": float,
-        "seed": int,
-    }
-    unknown = sorted(set(raw) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown spec keys: {', '.join(unknown)}")
-    values = {}
-    for key, value in raw.items():
-        try:
-            values[key] = allowed[key](value)
-        except ValueError as err:
-            raise ConfigError(f"field {key}: {err}")
+    defaults = {f.name: f.default for f in fields(SyntheticSpec)}
+    values = _cast_fields(parse_keyvalue(text), {**defaults, "seed": 0}, "spec")
     seed = values.pop("seed", 0)
     try:
         return SyntheticSpec(**values), seed

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import ContractError, NumericError
 from .tensor import (
     Tensor,
-    concat,
     exp,
     l2_normalize,
     log,
@@ -36,9 +35,11 @@ _NORM_EPS = 1e-8
 class ProxyBank:
     """Classifier state: per-class proxy vectors plus the learned scale.
 
-    Class ids are dense: class c's proxies live at ``theta[c]``, a (K, D)
-    tensor. ``eta`` is a learned positive scalar; ``delta`` is the fixed
-    score margin used by the NCA loss.
+    Class ids are dense: class c's proxies are ``theta.data[c]``, where
+    ``theta`` is one (C, K, D) tensor. ``add_class`` replaces it with a grown
+    copy, so optimizers must be built after imprinting (the runner builds
+    them per task) to see the current tensor. ``eta`` is a learned positive
+    scalar; ``delta`` is the fixed score margin used by the NCA loss.
     """
 
     def __init__(self, dim: int, proxies_per_class: int, delta: float = 0.6,
@@ -57,26 +58,26 @@ class ProxyBank:
         # zero (all score gradients scale with eta, so that kills training);
         # from the floor it grows back once scores become informative
         self.eta_floor = float(eta_init)
-        self.theta: list[Tensor] = []
+        self.theta = Tensor(np.zeros((0, self.K, self.dim)), requires_grad=True)
 
     @property
     def num_classes(self) -> int:
-        return len(self.theta)
+        return self.theta.shape[0]
 
-    @property
-    def eta_value(self) -> float:
-        return float(self.eta.data)
-
-    def add_class(self, proxies: np.ndarray) -> None:
-        proxies = np.asarray(proxies, dtype=np.float64)
+    def add_class(self, proxies) -> None:
+        try:
+            proxies = np.asarray(proxies, dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise ContractError(f"ProxyBank.add_class: proxies are not an array: {err}")
         if proxies.shape != (self.K, self.dim):
             raise ContractError(
                 f"ProxyBank.add_class: expected ({self.K}, {self.dim}), got {proxies.shape}"
             )
-        self.theta.append(Tensor(proxies.copy(), requires_grad=True))
+        grown = np.concatenate([self.theta.data, proxies[None]])
+        self.theta = Tensor(grown, requires_grad=True)
 
     def parameters(self) -> list[Tensor]:
-        return [*self.theta, self.eta]
+        return [self.theta, self.eta]
 
     def clamp_eta(self, floor: float | None = None) -> None:
         """Keep the learned scale at or above its floor after an optimizer step."""
@@ -91,7 +92,7 @@ class ProxyBank:
             "delta": self.delta,
             "eta": float(self.eta.data),
             "eta_floor": self.eta_floor,
-            "theta": [t.data.tolist() for t in self.theta],
+            "theta": self.theta.data.tolist(),
         }
 
     @classmethod
@@ -99,7 +100,7 @@ class ProxyBank:
         bank = cls(state["dim"], state["proxies_per_class"], state["delta"], state["eta_floor"])
         bank.eta.data = np.asarray(float(state["eta"]))
         for proxies in state["theta"]:
-            bank.add_class(np.asarray(proxies, dtype=np.float64))
+            bank.add_class(proxies)
         return bank
 
 
@@ -109,36 +110,20 @@ def _require_nonzero_rows(data: np.ndarray, what: str) -> None:
         raise NumericError(f"{what} has a (near-)zero-norm vector; cosine undefined")
 
 
-def cosine_logits(h: Tensor, bank: ProxyBank) -> Tensor:
-    """Single-proxy cosine head: softmax over classes of eta * cos(theta_c, h).
-
-    Only defined for K == 1 banks; rows of the result sum to 1.
-    """
-    if bank.K != 1:
-        raise ContractError(f"cosine_logits requires K == 1, got K={bank.K}")
-    _check_h(h, bank)
-    weights = concat(bank.theta, axis=0)  # (C, D)
-    _require_nonzero_rows(weights.data, "proxy weights")
-    sims = matmul(l2_normalize(h, axis=-1), transpose(l2_normalize(weights, axis=-1)))
-    return softmax(mul(sims, bank.eta), axis=-1)
-
-
 def lsc_scores(h: Tensor, bank: ProxyBank) -> Tensor:
     """Averaged per-class similarity in [-1, 1], shape (B, #classes).
 
     For each class, cosine similarities to its K proxies are softmax-weighted
-    and summed; with K == 1 this reduces to the plain cosine similarity.
+    and summed; with K == 1 this reduces to the plain cosine similarity. All
+    classes go through one matmul against the (C*K, D) unit proxies.
     """
     _check_h(h, bank)
-    h_n = l2_normalize(h, axis=-1)
-    batch = h.shape[0]
-    columns = []
-    for th in bank.theta:
-        _require_nonzero_rows(th.data, "proxy weights")
-        sims = matmul(h_n, transpose(l2_normalize(th, axis=-1)))  # (B, K)
-        weights = softmax(sims, axis=-1)
-        columns.append(reshape(tsum(mul(weights, sims), axis=1), (batch, 1)))
-    return concat(columns, axis=1)
+    _require_nonzero_rows(bank.theta.data, "proxy weights")
+    C, K, D = bank.theta.shape
+    proxies = l2_normalize(reshape(bank.theta, (C * K, D)), axis=-1)
+    sims = matmul(l2_normalize(h, axis=-1), transpose(proxies))     # (B, C*K)
+    sims = reshape(sims, (h.shape[0], C, K))
+    return tsum(mul(softmax(sims, axis=-1), sims), axis=2)
 
 
 def _check_h(h: Tensor, bank: ProxyBank) -> None:

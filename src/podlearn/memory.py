@@ -85,7 +85,6 @@ class ExemplarMemory:
     def __init__(self, budget: Budget):
         self.budget = budget
         self.per_class: dict[int, list[int]] = {}
-        self.means: dict[int, np.ndarray] = {}
 
     @property
     def class_ids(self) -> list[int]:
@@ -130,7 +129,6 @@ class ExemplarMemory:
             if mnorm <= _NORM_EPS:
                 raise NumericError(f"class {c}: exemplar mean is (near-)zero")
             means[c] = mean / mnorm
-        self.means = means
         return means
 
     def state(self) -> dict:

@@ -168,6 +168,9 @@ class SGD:
             p.data = p.data - self.lr * v
 
 
+_SCORE_BLOCK = 1 << 14
+
+
 def _cosine_lr(base: float, epoch: int, total_epochs: int) -> float:
     return base * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
@@ -219,10 +222,13 @@ def evaluate(
         scores = _normalize_rows(emb) @ mean_mat.T
         preds = scores.argmax(axis=1)
     else:
+        # score in row chunks whose (rows, C*K) similarity block stays near
+        # _SCORE_BLOCK doubles, so the transient does not grow with the classes
+        step = max(1, _SCORE_BLOCK // (bank.num_classes * bank.K))
         preds_chunks = []
         with no_grad():
-            for i in range(0, emb.shape[0], 256):
-                scores = lsc_scores(Tensor(emb[i : i + 256]), bank)
+            for i in range(0, emb.shape[0], step):
+                scores = lsc_scores(Tensor(emb[i : i + step]), bank)
                 preds_chunks.append(scores.data.argmax(axis=1))
         preds = np.concatenate(preds_chunks)
     return float((preds == test_y).mean())
@@ -336,6 +342,11 @@ class IncrementalRunner:
         labels = self._dense_labels(self.dataset.train_y[indices])
         return indices, labels
 
+    def _classifier_loss(self, yhat: Tensor, labels: np.ndarray) -> Tensor:
+        if self.config.classifier_loss == "ce":
+            return cross_entropy_loss(yhat, labels, self.bank.eta)
+        return nca_hinge_loss(yhat, labels, self.bank.eta, self.bank.delta)
+
     def _train_task(self, new_classes: list[int], teacher, lam: float) -> None:
         cfg = self.config
         if self.bank.num_classes < 2 and cfg.classifier_loss == "nca":
@@ -352,11 +363,7 @@ class IncrementalRunner:
                 sel = perm[lo : lo + cfg.batch_size]
                 x = Tensor(self.dataset.train_x[indices[sel]])
                 outs = self.backbone.forward_with_stages(x)
-                yhat = lsc_scores(outs.embedding, self.bank)
-                if cfg.classifier_loss == "ce":
-                    loss = cross_entropy_loss(yhat, labels[sel], self.bank.eta)
-                else:
-                    loss = nca_hinge_loss(yhat, labels[sel], self.bank.eta, self.bank.delta)
+                loss = self._classifier_loss(lsc_scores(outs.embedding, self.bank), labels[sel])
                 if use_pod:
                     t_outs = teacher.forward_with_stages(x)
                     loss = loss + pod_final(t_outs, outs, cfg.pod, lam)
@@ -381,11 +388,7 @@ class IncrementalRunner:
             for lo in range(0, n, cfg.batch_size):
                 sel = perm[lo : lo + cfg.batch_size]
                 emb = self.backbone.embed(Tensor(self.dataset.train_x[indices[sel]]))
-                yhat = lsc_scores(emb.detach(), self.bank)
-                if cfg.classifier_loss == "ce":
-                    loss = cross_entropy_loss(yhat, labels[sel], self.bank.eta)
-                else:
-                    loss = nca_hinge_loss(yhat, labels[sel], self.bank.eta, self.bank.delta)
+                loss = self._classifier_loss(lsc_scores(emb.detach(), self.bank), labels[sel])
                 opt.zero_grad()
                 loss.backward()
                 opt.step()

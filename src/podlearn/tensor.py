@@ -9,7 +9,7 @@ finite at creation and after every primitive.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,9 +66,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Copy of the value with no graph history and no gradient tracking."""
         return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar seed.
@@ -446,38 +443,3 @@ def conv2d(
         return gx, gw, g.sum(axis=(0, 2, 3))
 
     return _make(out, "conv2d", parents, vjp)
-
-
-def avg_pool2d(x: Tensor, window: int, stride: int | None = None) -> Tensor:
-    """2-D average pooling over (B, C, W, H), no padding."""
-    if x.data.ndim != 4:
-        raise ShapeError("avg_pool2d", f"expected 4-D input, got {x.shape}")
-    k = int(window)
-    s = k if stride is None else int(stride)
-    B, C, W, H = x.shape
-    if k < 1 or s < 1:
-        raise ContractError(f"avg_pool2d: invalid window={k} stride={s}")
-    Wo = (W - k) // s + 1
-    Ho = (H - k) // s + 1
-    if Wo < 1 or Ho < 1:
-        raise ShapeError("avg_pool2d", f"window {k} too large for {W}x{H}")
-    out = np.zeros((B, C, Wo, Ho))
-    for u in range(k):
-        for v in range(k):
-            out += x.data[:, :, u : u + s * Wo : s, v : v + s * Ho : s]
-    out /= k * k
-
-    def vjp(g):
-        gx = np.zeros_like(x.data)
-        gs = g / (k * k)
-        for u in range(k):
-            for v in range(k):
-                gx[:, :, u : u + s * Wo : s, v : v + s * Ho : s] += gs
-        return (gx,)
-
-    return _make(out, "avg_pool2d", (x,), vjp)
-
-
-def params_of(tensors: Iterable[Tensor]) -> list[Tensor]:
-    """Convenience filter: the requires_grad tensors of an iterable."""
-    return [t for t in tensors if t.requires_grad]

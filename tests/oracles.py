@@ -87,18 +87,6 @@ def cosine(u, v):
     return sum(p * q for p, q in zip(u, v)) / (nu * nv)
 
 
-def cosine_logits_oracle(h, theta, eta):
-    """Rows of softmax(eta * cos(theta_c, h)) for a K=1 proxy list."""
-    out = []
-    for row in h:
-        sims = [eta * cosine(row, th[0]) for th in theta]
-        mx = max(sims)
-        exps = [math.exp(s - mx) for s in sims]
-        z = sum(exps)
-        out.append([e / z for e in exps])
-    return out
-
-
 def lsc_scores_oracle(h, theta):
     """Score matrix: per class, softmax-over-proxies weighted mean cosine."""
     out = []

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -133,11 +135,9 @@ def test_clone_collects_no_gradients():
 # -- checkpointing ----------------------------------------------------------------
 
 
-def test_checkpoint_roundtrip_bit_exact(tmp_path):
+def test_checkpoint_roundtrip_bit_exact():
     model = _default()
-    path = tmp_path / "model.json"
-    model.save(str(path))
-    loaded = Backbone.load(str(path))
+    loaded = Backbone.from_state(json.loads(json.dumps(model.state())))
     assert set(loaded.params) == set(model.params)
     for name, p in model.params.items():
         assert (loaded.params[name].data == p.data).all()

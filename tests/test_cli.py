@@ -58,9 +58,23 @@ def test_unknown_keys_rejected():
 
 
 def test_bad_value_gives_field_level_error():
+    for text in ("epochs_per_task = soon", "squared_features = maybe", "stage_filters = 4,x"):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_text(text)
+        assert text.split(" ")[0] in str(exc.value)
     with pytest.raises(ConfigError) as exc:
-        ExperimentConfig.from_text("epochs_per_task = soon")
-    assert "epochs_per_task" in str(exc.value)
+        parse_synthetic_spec("noise_sigma = loud")
+    assert "noise_sigma" in str(exc.value)
+
+
+def test_values_cast_by_field_type():
+    cfg = ExperimentConfig.from_text(
+        "stage_filters = 4, 8\nsquared_features = no\nmargin = 1\npod_mode = gap"
+    )
+    assert cfg.stage_filters == (4, 8)
+    assert cfg.squared_features is False
+    assert cfg.margin == 1.0 and isinstance(cfg.margin, float)
+    assert cfg.pod_mode == "gap"
 
 
 def test_inconsistent_schedule_rejected():
@@ -109,7 +123,9 @@ def test_run_outputs_summary_and_plot_data(tmp_path):
     cfg_path = _write(tmp_path, TINY_INCREMENTAL)
     out = str(tmp_path / "out")
     assert main(["run", cfg_path, "--output", out]) == 0
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    text = open(os.path.join(out, "summary.json")).read()
+    summary = json.loads(text)
+    assert text == json.dumps(summary, indent=2)
     assert summary["tasks"] == 3
     assert 0.0 <= summary["avg_incremental_accuracy"]["nme"] <= 1.0
     assert summary["seed"] == 0
@@ -120,6 +136,7 @@ def test_run_outputs_summary_and_plot_data(tmp_path):
     assert plot[0] == "mode,task_index,seen_classes,accuracy"
     assert len(plot) == 1 + 2 * 3  # both modes, three tasks
     assert os.path.exists(os.path.join(out, "checkpoint.json"))
+    assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
 
 
 def test_rerun_same_seed_byte_identical_metrics(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,7 +7,6 @@ import pytest
 from podlearn.errors import ContractError, NumericError
 from podlearn.lsc import (
     ProxyBank,
-    cosine_logits,
     cross_entropy_loss,
     imprint_new_classes,
     kmeans,
@@ -15,7 +16,6 @@ from podlearn.lsc import (
 from podlearn.tensor import Tensor
 
 from oracles import (
-    cosine_logits_oracle,
     kmeans_two_cluster_optima,
     lsc_scores_oracle,
     nca_hinge_oracle,
@@ -30,42 +30,11 @@ def _bank(theta, delta=0.6, eta=1.0):
     return bank
 
 
-# -- cosine head (K=1) ---------------------------------------------------------
-
-
-def test_cosine_logits_aligned_class_wins():
-    bank = _bank([[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]]])
-    probs = cosine_logits(Tensor([[2.0, 0.0, 0.0]]), bank)
-    assert probs.data[0].argmax() == 0
-    npt.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-12)
-
-
-def test_cosine_logits_orthogonal_is_uniform():
-    bank = _bank([[[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]])
-    probs = cosine_logits(Tensor([[0.0, 0.0, 5.0]]), bank)
-    npt.assert_allclose(probs.data[0], [0.5, 0.5], atol=1e-12)
-
-
-def test_cosine_logits_matches_oracle():
-    rng = np.random.default_rng(0)
-    theta = [rng.normal(size=(1, 6)) for _ in range(4)]
-    h = rng.normal(size=(3, 6))
-    bank = _bank(theta, eta=2.3)
-    got = cosine_logits(Tensor(h), bank).data
-    want = cosine_logits_oracle(h.tolist(), [t.tolist() for t in theta], 2.3)
-    npt.assert_allclose(got, want, atol=1e-12)
-
-
-def test_cosine_logits_requires_single_proxy():
-    bank = _bank([np.eye(2), 2 * np.eye(2)])
-    with pytest.raises(ContractError):
-        cosine_logits(Tensor([[1.0, 0.0]]), bank)
+# -- degenerate inputs -----------------------------------------------------------
 
 
 def test_zero_norm_embedding_is_numeric_fault():
     bank = _bank([[[1.0, 0.0]], [[0.0, 1.0]]])
-    with pytest.raises(NumericError):
-        cosine_logits(Tensor([[0.0, 0.0]]), bank)
     with pytest.raises(NumericError):
         lsc_scores(Tensor([[0.0, 0.0]]), bank)
 
@@ -194,6 +163,25 @@ def test_gradients_flow_through_scores_into_loss():
 
     for _ in range(5):
         point = Tensor(rng.normal(size=(2, 5)))
+        assert composite(point).item() > 0.05  # away from the kink
+        assert gradient_check(composite, point, eps=1e-5) <= 1e-4
+
+
+def test_gradients_flow_through_scores_into_proxies():
+    # same composite, differentiated with respect to the (C, K, D) proxy tensor
+    from podlearn.gradcheck import gradient_check
+
+    rng = np.random.default_rng(21)
+    bank = _bank([rng.normal(size=(3, 5)) for _ in range(3)])
+    h = Tensor(rng.normal(size=(3, 5)))
+    labels = np.array([0, 2, 1])
+
+    def composite(theta):
+        bank.theta = theta
+        return nca_hinge_loss(lsc_scores(h, bank), labels, eta=2.0, delta=0.4)
+
+    for _ in range(5):
+        point = Tensor(rng.normal(size=(3, 3, 5)))
         assert composite(point).item() > 0.05  # away from the kink
         assert gradient_check(composite, point, eps=1e-5) <= 1e-4
 
@@ -330,15 +318,42 @@ def test_imprint_empty_class_rejected():
 
 def test_bank_state_roundtrip():
     rng = np.random.default_rng(14)
-    bank = _bank([rng.normal(size=(3, 4)) for _ in range(2)], delta=0.4, eta=1.5)
+    theta = [rng.normal(size=(3, 4)) for _ in range(2)]
+    bank = _bank(theta, delta=0.4, eta=1.5)
     bank.eta.data = np.asarray(3.25)
-    clone = ProxyBank.from_state(bank.state())
+    state = bank.state()
+    # the stacked tensor writes the per-class layout: C lists of K x D lists
+    assert state["theta"] == [t.tolist() for t in theta]
+    clone = ProxyBank.from_state(json.loads(json.dumps(state)))
     assert clone.num_classes == 2
-    assert clone.eta_value == 3.25
+    assert clone.theta.shape == (2, 3, 4)
+    assert float(clone.eta.data) == 3.25
     assert clone.eta_floor == 1.5
     assert clone.delta == 0.4
-    for a, b in zip(bank.theta, clone.theta):
-        npt.assert_array_equal(a.data, b.data)
+    npt.assert_array_equal(clone.theta.data, np.stack(theta))
+    assert clone.state() == state
+
+
+def test_bank_from_state_rejects_malformed_theta():
+    rng = np.random.default_rng(15)
+    state = _bank([rng.normal(size=(3, 4)) for _ in range(2)]).state()
+    wrong_shape = dict(state, theta=[state["theta"][0], state["theta"][1][:2]])
+    with pytest.raises(ContractError):
+        ProxyBank.from_state(wrong_shape)
+    ragged = dict(state, theta=[state["theta"][0], [[1.0, 2.0, 3.0, 4.0], [1.0], [2.0]]])
+    with pytest.raises(ContractError):
+        ProxyBank.from_state(ragged)
+
+
+def test_bank_grows_one_stacked_parameter():
+    bank = ProxyBank(4, 2)
+    assert bank.theta.shape == (0, 2, 4)
+    bank.add_class(np.ones((2, 4)))
+    bank.add_class(2 * np.ones((2, 4)))
+    theta, eta = bank.parameters()
+    assert theta is bank.theta and eta is bank.eta
+    assert theta.requires_grad and theta.shape == (2, 2, 4)
+    npt.assert_array_equal(theta.data[1], 2 * np.ones((2, 4)))
 
 
 def test_bank_validates_construction():
@@ -357,4 +372,4 @@ def test_bank_eta_floor_clamps():
     bank = ProxyBank(4, 1, eta_init=1.0)
     bank.eta.data = np.asarray(0.2)
     bank.clamp_eta()
-    assert bank.eta_value == 1.0
+    assert float(bank.eta.data) == 1.0

@@ -6,7 +6,6 @@ from podlearn.errors import ContractError, NumericError, ShapeError
 from podlearn.tensor import (
     Tensor,
     add,
-    avg_pool2d,
     concat,
     conv2d,
     exp,
@@ -83,14 +82,6 @@ def test_conv2d_matches_manual_loop():
                 for j in range(out.shape[3]):
                     patch = xp[bi, :, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3]
                     expected[bi, o, i, j] = (patch * w[o]).sum() + b[o]
-    npt.assert_allclose(out, expected, atol=1e-12)
-
-
-def test_avg_pool2d_matches_manual():
-    rng = np.random.default_rng(4)
-    x = rng.normal(size=(1, 2, 4, 4))
-    out = avg_pool2d(Tensor(x), window=2).data
-    expected = x.reshape(1, 2, 2, 2, 2, 2).mean(axis=(3, 5))
     npt.assert_allclose(out, expected, atol=1e-12)
 
 
