@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ContractError, NumericError
 from .tensor import (
     Tensor,
+    add,
     exp,
     l2_normalize,
     log,
@@ -148,6 +149,19 @@ def _check_labels(yhat: Tensor, labels: np.ndarray) -> np.ndarray:
     return labels.astype(np.int64)
 
 
+def _logsumexp(scaled: Tensor, keep: np.ndarray) -> Tensor:
+    """Row-wise ``log(sum(exp(scaled)))`` over the entries where ``keep`` is 1.
+
+    Each row is shifted by its largest kept entry, a constant that is added
+    back after the log, so no exponent exceeds 0 whatever the scale. Dropped
+    entries are shifted to exactly 0 and masked out after the exp.
+    """
+    row_max = np.where(keep > 0, scaled.data, -np.inf).max(axis=1)
+    shift = np.where(keep > 0, row_max[:, None], scaled.data)
+    terms = mul(exp(sub(scaled, Tensor(shift))), Tensor(keep))
+    return add(log(tsum(terms, axis=1)), Tensor(row_max))
+
+
 def nca_hinge_loss(yhat: Tensor, labels, eta, delta: float) -> Tensor:
     """Hinged, margin-shifted NCA loss, batch-averaged.
 
@@ -167,8 +181,7 @@ def nca_hinge_loss(yhat: Tensor, labels, eta, delta: float) -> Tensor:
     scaled = mul(yhat, eta_t)
     target = tsum(mul(scaled, Tensor(onehot)), axis=1)        # eta * score_y
     margin_term = sub(target, mul(eta_t, Tensor(float(delta))))
-    others = tsum(mul(exp(scaled), Tensor(1.0 - onehot)), axis=1)
-    per_sample = relu(sub(log(others), margin_term))
+    per_sample = relu(sub(_logsumexp(scaled, 1.0 - onehot), margin_term))
     return tmean(per_sample)
 
 
@@ -180,8 +193,7 @@ def cross_entropy_loss(yhat: Tensor, labels, eta) -> Tensor:
     onehot[np.arange(labels.size), labels] = 1.0
     scaled = mul(yhat, eta_t)
     target = tsum(mul(scaled, Tensor(onehot)), axis=1)
-    lse = log(tsum(exp(scaled), axis=1))
-    return tmean(sub(lse, target))
+    return tmean(sub(_logsumexp(scaled, np.ones(yhat.shape)), target))
 
 
 def kmeans(points: np.ndarray, k: int, iters: int = 25, seed=0) -> np.ndarray:

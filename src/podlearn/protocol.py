@@ -175,7 +175,9 @@ def _cosine_lr(base: float, epoch: int, total_epochs: int) -> float:
     return base * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
-def _embed_all(model: Backbone, x: np.ndarray, batch: int = 256) -> np.ndarray:
+def _embed_all(model: Backbone, x: np.ndarray, batch: int = 64) -> np.ndarray:
+    # chunks of 64 keep conv2d's column matrices (up to KW*KH times the size
+    # of their input map) below the peak memory a training step reaches anyway
     chunks = []
     with no_grad():
         for i in range(0, x.shape[0], batch):
@@ -387,8 +389,9 @@ class IncrementalRunner:
             perm = self.rng.permutation(n)
             for lo in range(0, n, cfg.batch_size):
                 sel = perm[lo : lo + cfg.batch_size]
-                emb = self.backbone.embed(Tensor(self.dataset.train_x[indices[sel]]))
-                loss = self._classifier_loss(lsc_scores(emb.detach(), self.bank), labels[sel])
+                with no_grad():
+                    emb = self.backbone.embed(Tensor(self.dataset.train_x[indices[sel]]))
+                loss = self._classifier_loss(lsc_scores(emb, self.bank), labels[sel])
                 opt.zero_grad()
                 loss.backward()
                 opt.step()

@@ -398,7 +398,11 @@ def conv2d(
 ) -> Tensor:
     """2-D convolution over (B, C, W, H) inputs with zero padding.
 
-    Direct implementation: one accumulation per kernel offset.
+    Unrolled (im2col) form: every receptive field becomes one column of a
+    (Cin*KW*KH, B*Wo*Ho) matrix, so the forward pass and the weight gradient
+    are one GEMM each. The input gradient is one GEMM back to columns, folded
+    onto the padded input with one strided add per kernel offset; it is
+    skipped when ``x`` takes no gradient (a network's input batch).
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError("conv2d", f"expected 4-D input/kernel, got {x.shape}, {w.shape}")
@@ -416,28 +420,31 @@ def conv2d(
     if Wo < 1 or Ho < 1:
         raise ShapeError("conv2d", f"kernel {KW}x{KH} too large for {W}x{H} (pad {p})")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    out = np.zeros((B, Cout, Wo, Ho))
-    for u in range(KW):
-        for v in range(KH):
-            patch = xp[:, :, u : u + s * Wo : s, v : v + s * Ho : s]
-            out += np.einsum("bcwh,oc->bowh", patch, w.data[:, :, u, v])
+    padded_shape = (W + 2 * p, H + 2 * p)
+    xp = np.zeros((B, Cin, *padded_shape))
+    xp[:, :, p : p + W, p : p + H] = x.data
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (KW, KH), axis=(2, 3))
+    # rows (c, u, v) in the order of w's trailing axes, columns (b, i, j)
+    cols = windows[:, :, ::s, ::s].transpose(1, 4, 5, 0, 2, 3).reshape(Cin * KW * KH, -1)
+    wmat = w.data.reshape(Cout, -1)
+    y = (wmat @ cols).reshape(Cout, B, Wo, Ho)
     if bias is not None:
-        out += bias.data[None, :, None, None]
+        y += bias.data[:, None, None, None]
+    out = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
 
     parents = (x, w) if bias is None else (x, w, bias)
 
     def vjp(g):
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w.data)
-        for u in range(KW):
-            for v in range(KH):
-                patch = xp[:, :, u : u + s * Wo : s, v : v + s * Ho : s]
-                gw[:, :, u, v] = np.einsum("bowh,bcwh->oc", g, patch)
-                gxp[:, :, u : u + s * Wo : s, v : v + s * Ho : s] += np.einsum(
-                    "bowh,oc->bcwh", g, w.data[:, :, u, v]
-                )
-        gx = gxp[:, :, p : p + W, p : p + H] if p else gxp
+        g2 = g.transpose(1, 0, 2, 3).reshape(Cout, -1)
+        gw = (g2 @ cols.T).reshape(w.shape)
+        gx = None
+        if x.requires_grad:
+            gcols = (wmat.T @ g2).reshape(Cin, KW, KH, B, Wo, Ho)
+            gxp = np.zeros((Cin, B, *padded_shape))
+            for u in range(KW):
+                for v in range(KH):
+                    gxp[:, :, u : u + s * Wo : s, v : v + s * Ho : s] += gcols[:, u, v]
+            gx = gxp[:, :, p : p + W, p : p + H].transpose(1, 0, 2, 3)
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))

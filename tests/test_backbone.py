@@ -6,6 +6,9 @@ import pytest
 
 from podlearn.backbone import Backbone, BackboneConfig
 from podlearn.errors import ContractError, FormatError, ShapeError
+from podlearn.gradcheck import gradient_check
+from podlearn.lsc import ProxyBank, lsc_scores, nca_hinge_loss
+from podlearn.pod import PodConfig, pod_final
 from podlearn.protocol import SGD
 from podlearn.tensor import Tensor, tsum
 
@@ -59,6 +62,38 @@ def test_batch_forward_equals_stacked_singles():
         npt.assert_allclose(full.embedding.data[i], single.embedding.data[0], atol=1e-12)
         for fm, sm in zip(full.stage_maps, single.stage_maps):
             npt.assert_allclose(fm.data[i], sm.data[0], atol=1e-12)
+
+
+def test_gradients_through_whole_training_graph_into_conv_weight():
+    # backbone -> pod_final + lsc_scores -> nca_hinge_loss, the graph one
+    # training step differentiates, checked against central differences with
+    # respect to the first stage's conv weight
+    cfg = BackboneConfig(input_shape=(2, 6, 5), stages=((3, 1), (4, 1)), embedding_dim=5)
+    student = Backbone(cfg, seed=1)
+    teacher = Backbone(cfg, seed=2).clone_frozen()
+    rng = np.random.default_rng(30)
+    x = Tensor(rng.normal(size=(3, 2, 6, 5)))
+    bank = ProxyBank(5, 2)
+    for _ in range(3):
+        bank.add_class(rng.normal(size=(2, 5)))
+    labels = np.array([0, 2, 1])
+    t_outs = teacher.forward_with_stages(x)
+    name = "stage0.block0.weight"
+
+    def composite(weight):
+        student.params[name] = weight
+        outs = student.forward_with_stages(x)
+        scores = lsc_scores(outs.embedding, bank)
+        cls = nca_hinge_loss(scores, labels, eta=2.0, delta=0.4)
+        return cls + pod_final(t_outs, outs, PodConfig(), 1.5)
+
+    point = Tensor(student.params[name].data.copy())
+    composite(point)
+    scores = lsc_scores(student.embed(x), bank).data
+    for i in range(labels.size):  # every sample away from the hinge kink
+        row = Tensor(scores[i : i + 1])
+        assert nca_hinge_loss(row, labels[i : i + 1], 2.0, 0.4).item() > 0.05
+    assert gradient_check(composite, point, eps=1e-5) <= 1e-4
 
 
 def test_last_stage_map_attains_negative_values():

@@ -121,6 +121,12 @@ def test_nca_matches_oracle():
     assert got == pytest.approx(want, abs=1e-12)
 
 
+def test_nca_large_eta_does_not_overflow():
+    # eta * score = 720 / 640: exp of either overflows float64, the shifted
+    # logsumexp does not; loss = 640 - (720 - 800 * 0.6)
+    assert nca_hinge_loss(Tensor([[0.9, 0.8]]), [0], eta=800.0, delta=0.6).item() == 400.0
+
+
 def test_nca_single_class_rejected():
     with pytest.raises(ContractError):
         nca_hinge_loss(Tensor([[0.5]]), [0], eta=1.0, delta=0.0)
@@ -198,6 +204,17 @@ def test_cross_entropy_matches_definition():
         )
     )
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_cross_entropy_large_eta_does_not_overflow():
+    eta = Tensor(np.asarray(800.0), requires_grad=True)
+    yhat = Tensor([[0.9, 0.8]], requires_grad=True)
+    loss = cross_entropy_loss(yhat, [1], eta)
+    # log(exp(720) + exp(640)) - 640 = 80 + log1p(exp(-80)), which rounds to 80
+    assert loss.item() == 80.0
+    loss.backward()
+    npt.assert_allclose(yhat.grad, [[800.0, -800.0]], atol=1e-9)
+    assert eta.grad == pytest.approx(0.1, abs=1e-12)
 
 
 # -- k-means ------------------------------------------------------------------------

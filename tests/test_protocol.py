@@ -13,6 +13,7 @@ from podlearn.protocol import (
     IncrementalRunner,
     RunConfig,
     TaskSchedule,
+    _embed_all,
     adaptive_scale,
     average_incremental_accuracy,
     evaluate,
@@ -289,6 +290,13 @@ def test_large_memory_matches_joint_training_quality():
     sched_joint = TaskSchedule.build(4, 4, 1, seed=7)
     joint = run_schedule(sched_joint, cfg, ds, seed=7)
     assert inc.nme_accuracy[-1] >= joint.nme_accuracy[0] - 0.15
+
+
+def test_embed_all_chunk_size_does_not_change_embeddings():
+    model = Backbone(BackboneConfig(), seed=3)
+    x = np.random.default_rng(31).normal(size=(300, 3, 8, 8))
+    npt.assert_allclose(_embed_all(model, x, batch=64), _embed_all(model, x, batch=256),
+                        atol=1e-12)
 
 
 def test_balanced_finetune_flag_recorded_and_runs():

@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from podlearn.errors import ContractError, NumericError, ShapeError
+from podlearn.gradcheck import gradient_check
 from podlearn.tensor import (
     Tensor,
     add,
@@ -201,6 +202,44 @@ def test_adjoint_linearity_conv2d():
         tsum(mul(conv2d(xi, Tensor(w_val), padding=1), Tensor(mask))).backward()
         summed += xi.grad
     npt.assert_allclose(total, summed, atol=1e-10)
+
+
+def _conv_gradient_errors(stride, padding, with_bias, x_shape, w_shape, seed):
+    """Finite-difference errors of a weighted-sum conv2d w.r.t. x, w and bias."""
+    rng = np.random.default_rng(seed)
+    x_val = rng.normal(size=x_shape)
+    w_val = rng.normal(size=w_shape)
+    b_val = rng.normal(size=w_shape[0]) if with_bias else None
+    out_shape = conv2d(
+        Tensor(x_val), Tensor(w_val), stride=stride, padding=padding
+    ).shape
+    weights = Tensor(rng.normal(size=out_shape))
+
+    def loss(x, w, b):
+        return tsum(mul(conv2d(x, w, b, stride=stride, padding=padding), weights))
+
+    bias = Tensor(b_val) if with_bias else None
+    errors = {
+        "x": gradient_check(lambda t: loss(t, Tensor(w_val), bias), Tensor(x_val)),
+        "w": gradient_check(lambda t: loss(Tensor(x_val), t, bias), Tensor(w_val)),
+    }
+    if with_bias:
+        errors["bias"] = gradient_check(
+            lambda t: loss(Tensor(x_val), Tensor(w_val), t), Tensor(b_val)
+        )
+    return errors
+
+
+def test_conv2d_gradients_stride_two_padded_non_square():
+    errors = _conv_gradient_errors(2, 1, True, (2, 3, 5, 4), (4, 3, 3, 3), seed=9)
+    assert set(errors) == {"x", "w", "bias"}
+    assert max(errors.values()) <= 1e-4, errors
+
+
+def test_conv2d_gradients_stride_one_without_bias():
+    errors = _conv_gradient_errors(1, 0, False, (2, 2, 5, 4), (3, 2, 3, 2), seed=10)
+    assert set(errors) == {"x", "w"}
+    assert max(errors.values()) <= 1e-4, errors
 
 
 # -- errors and contracts ---------------------------------------------------
