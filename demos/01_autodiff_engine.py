@@ -25,14 +25,14 @@ out = conv2d(img, kernel, padding=1)
 print("conv center value:", out.data[0, 0, 1, 1], "(expected 9)")
 
 # gradient_check compares analytic gradients with central differences;
-# for a composite with conv, relu and normalization the relative error
-# stays below 1e-4 away from relu kinks
+# for a composite of conv and relu the relative error stays below 1e-4
+# away from relu kinks, and a wrong conv backward pushes it far above
 rng = np.random.default_rng(0)
 w = Tensor(rng.normal(size=(2, 1, 3, 3)))
 
 
 def composite(t):
-    return tsum(square(l2_normalize(relu(conv2d(t, w, padding=1)) + 0.1)))
+    return tsum(square(relu(conv2d(t, w, padding=1)) + 0.1))
 
 
 point = Tensor(rng.uniform(0.5, 1.5, size=(1, 1, 4, 4)))

@@ -1,9 +1,9 @@
 """Experiment front door: run a config, generate datasets, merge summaries.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure. A run
-writes ``metrics.csv`` (one row appended per finished task), a resumable
-``checkpoint.json`` after every task, and ``summary.json`` plus
-``plot_data.csv`` at the end.
+Exit codes: 0 success, 1 configuration error, 2 runtime failure. After every
+task a run atomically rewrites ``metrics.csv`` (one row per finished task)
+and a resumable ``checkpoint.json``; at the end it writes ``summary.json``
+plus ``plot_data.csv``.
 """
 
 from __future__ import annotations
@@ -19,29 +19,17 @@ from .checkpoint import load_run_checkpoint, save_run_checkpoint, write_text_ato
 from .config import ExperimentConfig, parse_synthetic_spec
 from .datasets import generate_synthetic_dataset, save_dataset
 from .errors import ConfigError, ContractError, PodlearnError
-from .protocol import IncrementalRunner
+from .protocol import IncrementalRunner, RunMetrics
 
 METRICS_HEADER = "task_index,seen_classes,nme_accuracy,cnn_accuracy"
 
 
-def _metrics_row(task_index: int, seen: int, nme: float, cnn: float) -> str:
-    return f"{task_index},{seen},{nme!r},{cnn!r}\n"
-
-
-def _append_metrics_row(path: str, row: dict) -> None:
-    with open(path, "a") as fh:
-        fh.write(_metrics_row(row["task_index"], row["seen_classes"],
-                              row["nme_accuracy"], row["cnn_accuracy"]))
-        fh.flush()
-        os.fsync(fh.fileno())
-
-
-def _rewrite_metrics(path: str, runner: IncrementalRunner) -> None:
-    m = runner.metrics
-    with open(path, "w") as fh:
-        fh.write(METRICS_HEADER + "\n")
-        for i in range(len(m.nme_accuracy)):
-            fh.write(_metrics_row(i, m.seen_classes[i], m.nme_accuracy[i], m.cnn_accuracy[i]))
+def _write_metrics(path: str, m: RunMetrics) -> None:
+    """Rewrite ``metrics.csv`` atomically: the header, then one row per finished task."""
+    lines = [METRICS_HEADER + "\n"]
+    for i, (seen, nme, cnn) in enumerate(zip(m.seen_classes, m.nme_accuracy, m.cnn_accuracy)):
+        lines.append(f"{i},{seen},{nme!r},{cnn!r}\n")
+    write_text_atomic(path, lines)
 
 
 def _write_outputs(out_dir: str, cfg: ExperimentConfig, runner: IncrementalRunner,
@@ -87,7 +75,7 @@ def cmd_run(args) -> int:
             runner = IncrementalRunner.from_state(schedule, run_cfg, dataset, state)
         else:
             runner = IncrementalRunner(schedule, run_cfg, dataset, cfg.seed)
-        _rewrite_metrics(metrics_path, runner)
+        _write_metrics(metrics_path, runner.metrics)
     except (ConfigError, ContractError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
@@ -96,7 +84,7 @@ def cmd_run(args) -> int:
     try:
         while not runner.done:
             row = runner.run_next_task()
-            _append_metrics_row(metrics_path, row)
+            _write_metrics(metrics_path, runner.metrics)
             save_run_checkpoint(ckpt_path, cfg.to_dict(), runner.to_state())
             print(
                 f"task {row['task_index']}: seen={row['seen_classes']} "

@@ -89,8 +89,6 @@ class ExperimentConfig:
     pod_mode: str = "spatial"
     lambda_c: float = 3.0
     lambda_f: float = 1.0
-    squared_features: bool = True
-    normalize_pooled: bool = True
     # classifier
     proxies_per_class: int = 10
     margin: float = 0.6
@@ -187,13 +185,7 @@ class ExperimentConfig:
             mode = PodMode(self.pod_mode)
         except ValueError:
             raise ContractError(f"unknown pod_mode {self.pod_mode!r}")
-        return PodConfig(
-            lambda_c=self.lambda_c,
-            lambda_f=self.lambda_f,
-            mode=mode,
-            squared_features=self.squared_features,
-            normalize_pooled=self.normalize_pooled,
-        )
+        return PodConfig(lambda_c=self.lambda_c, lambda_f=self.lambda_f, mode=mode)
 
     def backbone_config(self, input_shape: tuple[int, int, int]) -> BackboneConfig:
         return BackboneConfig(

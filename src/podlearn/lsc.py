@@ -80,11 +80,10 @@ class ProxyBank:
     def parameters(self) -> list[Tensor]:
         return [self.theta, self.eta]
 
-    def clamp_eta(self, floor: float | None = None) -> None:
+    def clamp_eta(self) -> None:
         """Keep the learned scale at or above its floor after an optimizer step."""
-        floor = self.eta_floor if floor is None else floor
-        if float(self.eta.data) < floor:
-            self.eta.data = np.asarray(floor)
+        if float(self.eta.data) < self.eta_floor:
+            self.eta.data = np.asarray(self.eta_floor)
 
     def state(self) -> dict:
         return {

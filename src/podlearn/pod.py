@@ -3,9 +3,8 @@
 Each loss compares a pair of stage maps (B, C, W, H) after summing over a
 mode-specific subset of axes. Less pooling pins the student harder to the
 teacher; more pooling leaves it freer to reorganize. Pipeline per sample:
-optionally square elementwise, sum over the pooled axes, flatten, optionally
-L2-normalize the pooled vector, then squared Euclidean distance; batches are
-averaged.
+square elementwise, sum over the pooled axes, flatten, L2-normalize the
+pooled vector, then squared Euclidean distance; batches are averaged.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ContractError, ShapeError
-from .tensor import Tensor, l2_normalize, reshape, scale, square, squared_distance, tmean, tsum
+from .tensor import Tensor, l2_normalize, reshape, scale, square, sub, tmean, tsum
 
 
 class PodMode(str, Enum):
@@ -27,25 +26,25 @@ class PodMode(str, Enum):
     SPATIAL = "spatial"  # width loss + height loss
 
 
-# Axes of a (B, C, W, H) map summed away by each single-pooling mode.
+# Axis groups of a (B, C, W, H) map summed away by each mode; the loss adds
+# one distance per group.
 _POOLED_AXES = {
-    PodMode.PIXEL: (),
-    PodMode.CHANNEL: (1,),
-    PodMode.GAP: (2, 3),
-    PodMode.WIDTH: (2,),
-    PodMode.HEIGHT: (3,),
+    PodMode.PIXEL: ((),),
+    PodMode.CHANNEL: ((1,),),
+    PodMode.GAP: ((2, 3),),
+    PodMode.WIDTH: ((2,),),
+    PodMode.HEIGHT: ((3,),),
+    PodMode.SPATIAL: ((2,), (3,)),
 }
 
 
 @dataclass(frozen=True)
 class PodConfig:
-    """Weights and pipeline toggles for the combined distillation loss."""
+    """Weights and pooling mode of the combined distillation loss."""
 
     lambda_c: float = 3.0
     lambda_f: float = 1.0
     mode: PodMode = PodMode.SPATIAL
-    squared_features: bool = True
-    normalize_pooled: bool = True
 
     def __post_init__(self):
         for name in ("lambda_c", "lambda_f"):
@@ -54,32 +53,26 @@ class PodConfig:
                 raise ContractError(f"PodConfig.{name} must be finite and >= 0, got {v}")
 
 
-def _pooled_vectors(t: Tensor, mode: PodMode, cfg: PodConfig) -> Tensor:
-    """Square, pool, flatten, and optionally normalize one stage map."""
-    if cfg.squared_features:
-        t = square(t)
-    axes = _POOLED_AXES[mode]
-    if axes:
-        t = tsum(t, axis=axes)
-    t = reshape(t, (t.shape[0], -1))
-    if cfg.normalize_pooled:
-        t = l2_normalize(t, axis=-1)
-    return t
+def _unit_distance(a: Tensor, b: Tensor) -> Tensor:
+    """Squared distance of the L2-normalized rows of ``a`` and ``b``, batch-averaged."""
+    ua = l2_normalize(reshape(a, (a.shape[0], -1)), axis=-1)
+    ub = l2_normalize(reshape(b, (b.shape[0], -1)), axis=-1)
+    return tmean(tsum(square(sub(ua, ub)), axis=-1))
 
 
-def pod_pooled(a: Tensor, b: Tensor, mode: PodMode, cfg: PodConfig | None = None) -> Tensor:
+def pod_pooled(a: Tensor, b: Tensor, mode: PodMode) -> Tensor:
     """Pooled distillation loss between two same-shape stage maps."""
-    cfg = cfg or PodConfig()
     mode = PodMode(mode)
     if a.shape != b.shape:
         raise ShapeError("pod_pooled", f"stage maps differ: {a.shape} vs {b.shape}")
     if a.data.ndim != 4 or a.shape[0] < 1:
         raise ShapeError("pod_pooled", f"expected (B, C, W, H) maps, got {a.shape}")
-    if mode is PodMode.SPATIAL:
-        return pod_pooled(a, b, PodMode.WIDTH, cfg) + pod_pooled(a, b, PodMode.HEIGHT, cfg)
-    va = _pooled_vectors(a, mode, cfg)
-    vb = _pooled_vectors(b, mode, cfg)
-    return tmean(squared_distance(va, vb, axis=-1))
+    sa, sb = square(a), square(b)
+    total = None
+    for axes in _POOLED_AXES[mode]:
+        d = _unit_distance(tsum(sa, axis=axes), tsum(sb, axis=axes))
+        total = d if total is None else total + d
+    return total
 
 
 def pod_flat(h_teacher: Tensor, h_student: Tensor) -> Tensor:
@@ -94,9 +87,7 @@ def pod_flat(h_teacher: Tensor, h_student: Tensor) -> Tensor:
         )
     if h_teacher.data.ndim != 2:
         raise ShapeError("pod_flat", f"expected (B, D) embeddings, got {h_teacher.shape}")
-    ta = l2_normalize(h_teacher, axis=-1)
-    tb = l2_normalize(h_student, axis=-1)
-    return tmean(squared_distance(ta, tb, axis=-1))
+    return _unit_distance(h_teacher, h_student)
 
 
 def pod_final(teacher, student, cfg: PodConfig, scale_factor: float) -> Tensor:
@@ -115,9 +106,9 @@ def pod_final(teacher, student, cfg: PodConfig, scale_factor: float) -> Tensor:
         )
     total = None
     if cfg.lambda_c > 0 and t_maps:
-        inter = pod_pooled(t_maps[0], s_maps[0], cfg.mode, cfg)
+        inter = pod_pooled(t_maps[0], s_maps[0], cfg.mode)
         for tm, sm in zip(t_maps[1:], s_maps[1:]):
-            inter = inter + pod_pooled(tm, sm, cfg.mode, cfg)
+            inter = inter + pod_pooled(tm, sm, cfg.mode)
         total = scale(inter, cfg.lambda_c / len(t_maps))
     if cfg.lambda_f > 0:
         flat = scale(pod_flat(teacher.embedding, student.embedding), cfg.lambda_f)

@@ -290,7 +290,8 @@ class IncrementalRunner:
         cfg = self.config
         new_classes = self.schedule.task_classes(t)
         try:
-            teacher = self.backbone.clone_frozen() if t > 0 else None
+            distil = t > 0 and (cfg.pod.lambda_c > 0 or cfg.pod.lambda_f > 0)
+            teacher = self.backbone.clone_frozen() if distil else None
 
             # imprint proxies for the incoming classes
             feats = [self._class_embeddings(c)[1] for c in new_classes]
@@ -349,30 +350,44 @@ class IncrementalRunner:
             return cross_entropy_loss(yhat, labels, self.bank.eta)
         return nca_hinge_loss(yhat, labels, self.bank.eta, self.bank.delta)
 
-    def _train_task(self, new_classes: list[int], teacher, lam: float) -> None:
+    def _sgd_epochs(self, params: list[Tensor], base_lr: float, epochs: int, n: int,
+                    batch_loss) -> None:
+        """Cosine-annealed SGD over ``n`` samples reshuffled every epoch.
+
+        ``batch_loss(sel)`` returns the loss of the samples at positions ``sel``.
+        """
         cfg = self.config
-        if self.bank.num_classes < 2 and cfg.classifier_loss == "nca":
-            raise ContractError("NCA loss needs >= 2 classes in the first task")
-        indices, labels = self._task_train_pool(new_classes)
-        params = self.backbone.parameters() + self.bank.parameters()
-        opt = SGD(params, cfg.learning_rate, cfg.momentum, WEIGHT_DECAY, (self.bank.eta,))
-        use_pod = teacher is not None and (cfg.pod.lambda_c > 0 or cfg.pod.lambda_f > 0)
-        n = indices.size
-        for epoch in range(cfg.epochs_per_task):
-            opt.lr = _cosine_lr(cfg.learning_rate, epoch, cfg.epochs_per_task)
+        opt = SGD(params, base_lr, cfg.momentum, WEIGHT_DECAY, (self.bank.eta,))
+        for epoch in range(epochs):
+            opt.lr = _cosine_lr(base_lr, epoch, epochs)
             perm = self.rng.permutation(n)
             for lo in range(0, n, cfg.batch_size):
-                sel = perm[lo : lo + cfg.batch_size]
-                x = Tensor(self.dataset.train_x[indices[sel]])
-                outs = self.backbone.forward_with_stages(x)
-                loss = self._classifier_loss(lsc_scores(outs.embedding, self.bank), labels[sel])
-                if use_pod:
-                    t_outs = teacher.forward_with_stages(x)
-                    loss = loss + pod_final(t_outs, outs, cfg.pod, lam)
+                # the previous batch's graph stays alive until this one is built;
+                # freeing it first let the allocator hand memory back and fault it
+                # in again (a5_podnet: 16k -> 582k minor page faults per schedule)
+                loss = batch_loss(perm[lo : lo + cfg.batch_size])
                 opt.zero_grad()
                 loss.backward()
                 opt.step()
                 self.bank.clamp_eta()
+
+    def _train_task(self, new_classes: list[int], teacher, lam: float) -> None:
+        """Train backbone and classifier; distil from ``teacher`` unless it is None."""
+        cfg = self.config
+        if self.bank.num_classes < 2 and cfg.classifier_loss == "nca":
+            raise ContractError("NCA loss needs >= 2 classes in the first task")
+        indices, labels = self._task_train_pool(new_classes)
+
+        def batch_loss(sel):
+            x = Tensor(self.dataset.train_x[indices[sel]])
+            outs = self.backbone.forward_with_stages(x)
+            loss = self._classifier_loss(lsc_scores(outs.embedding, self.bank), labels[sel])
+            if teacher is None:
+                return loss
+            return loss + pod_final(teacher.forward_with_stages(x), outs, cfg.pod, lam)
+
+        self._sgd_epochs(self.backbone.parameters() + self.bank.parameters(),
+                         cfg.learning_rate, cfg.epochs_per_task, indices.size, batch_loss)
 
     def _balanced_finetune(self) -> None:
         """Optional post-task pass over the (balanced) memory, classifier only."""
@@ -381,21 +396,14 @@ class IncrementalRunner:
             [np.asarray(v, dtype=np.int64) for v in self.memory.per_class.values()]
         )
         labels = self._dense_labels(self.dataset.train_y[indices])
-        opt = SGD(self.bank.parameters(), cfg.finetune_lr, cfg.momentum, WEIGHT_DECAY,
-                  (self.bank.eta,))
-        n = indices.size
-        for epoch in range(cfg.finetune_epochs):
-            opt.lr = _cosine_lr(cfg.finetune_lr, epoch, cfg.finetune_epochs)
-            perm = self.rng.permutation(n)
-            for lo in range(0, n, cfg.batch_size):
-                sel = perm[lo : lo + cfg.batch_size]
-                with no_grad():
-                    emb = self.backbone.embed(Tensor(self.dataset.train_x[indices[sel]]))
-                loss = self._classifier_loss(lsc_scores(emb, self.bank), labels[sel])
-                opt.zero_grad()
-                loss.backward()
-                opt.step()
-                self.bank.clamp_eta()
+
+        def batch_loss(sel):
+            with no_grad():
+                emb = self.backbone.embed(Tensor(self.dataset.train_x[indices[sel]]))
+            return self._classifier_loss(lsc_scores(emb, self.bank), labels[sel])
+
+        self._sgd_epochs(self.bank.parameters(), cfg.finetune_lr, cfg.finetune_epochs,
+                         indices.size, batch_loss)
 
     def _seen_test_set(self) -> tuple[np.ndarray, np.ndarray]:
         mask = np.isin(self.dataset.test_y, self.class_map)

@@ -63,10 +63,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """Copy of the value with no graph history and no gradient tracking."""
-        return Tensor(self.data.copy())
-
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar seed.
 
@@ -106,24 +102,12 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -371,19 +355,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (y * (g - dot),)
 
     return _make(y, "softmax", (a,), vjp)
-
-
-def squared_distance(a: Tensor, b: Tensor, axis=None) -> Tensor:
-    """Squared Euclidean distance ``sum((a - b)**2)`` over ``axis``.
-
-    ``axis=None`` reduces over everything; ``axis=-1`` gives one distance
-    per leading slice. Operands must have identical shapes.
-    """
-    if a.shape != b.shape:
-        raise ShapeError(
-            "squared_distance", f"shapes differ: {a.shape} vs {b.shape}"
-        )
-    return tsum(square(sub(a, b)), axis=axis)
 
 
 # -- spatial primitives --------------------------------------------------------

@@ -40,27 +40,24 @@ def _normalized(v, eps=1e-8):
     return [e / n for e in v]
 
 
-def pod_pooled_oracle(a, b, mode, squared=True, normalize=True):
+def pod_pooled_oracle(a, b, mode):
     """Batch-mean pooled distillation loss of two (B, C, W, H) arrays."""
     total = 0.0
     B = len(a)
     for s in range(B):
         if mode == "spatial":
-            total += _pod_single(a[s], b[s], "width", squared, normalize)
-            total += _pod_single(a[s], b[s], "height", squared, normalize)
+            total += _pod_single(a[s], b[s], "width")
+            total += _pod_single(a[s], b[s], "height")
         else:
-            total += _pod_single(a[s], b[s], mode, squared, normalize)
+            total += _pod_single(a[s], b[s], mode)
     return total / B
 
 
-def _pod_single(x, y, mode, squared, normalize):
-    if squared:
-        x = [[[e * e for e in row] for row in ch] for ch in x]
-        y = [[[e * e for e in row] for row in ch] for ch in y]
-    va = pooled_vector(x, mode)
-    vb = pooled_vector(y, mode)
-    if normalize:
-        va, vb = _normalized(va), _normalized(vb)
+def _pod_single(x, y, mode):
+    x = [[[e * e for e in row] for row in ch] for ch in x]
+    y = [[[e * e for e in row] for row in ch] for ch in y]
+    va = _normalized(pooled_vector(x, mode))
+    vb = _normalized(pooled_vector(y, mode))
     return sum((p - q) ** 2 for p, q in zip(va, vb))
 
 
@@ -73,10 +70,10 @@ def pod_flat_oracle(ht, hs):
 
 
 def pod_final_oracle(t_maps, s_maps, t_emb, s_emb, mode, lambda_c, lambda_f,
-                     scale, squared=True, normalize=True):
+                     scale):
     inter = 0.0
     for tm, sm in zip(t_maps, s_maps):
-        inter += pod_pooled_oracle(tm, sm, mode, squared, normalize)
+        inter += pod_pooled_oracle(tm, sm, mode)
     flat = pod_flat_oracle(t_emb, s_emb)
     return scale * (lambda_c / len(t_maps) * inter + lambda_f * flat)
 

@@ -16,7 +16,7 @@ from podlearn.datasets import generate_synthetic_dataset
 from podlearn.gradcheck import gradient_check
 from podlearn.lsc import ProxyBank, kmeans, lsc_scores, nca_hinge_loss
 from podlearn.memory import ExemplarMemory, PerClass, Total, herd_select
-from podlearn.pod import PodConfig, PodMode, pod_flat, pod_pooled
+from podlearn.pod import PodMode, pod_flat, pod_pooled
 from podlearn.protocol import (
     TaskSchedule,
     adaptive_scale,
@@ -51,13 +51,12 @@ def test_a1_gradient_integrity():
     worst = 0.0
 
     rng = np.random.default_rng(101)
-    cfg = PodConfig()
     fixed = Tensor(rng.uniform(0.5, 1.5, size=(1, 2, 3, 3)))
     for mode in PodMode:
         for _ in range(points):
             pt = Tensor(rng.uniform(0.5, 1.5, size=(1, 2, 3, 3)))
             err = gradient_check(
-                lambda t, m=mode: pod_pooled(t, fixed, m, cfg), pt, eps
+                lambda t, m=mode: pod_pooled(t, fixed, m), pt, eps
             )
             worst = max(worst, err)
 

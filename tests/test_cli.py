@@ -55,10 +55,15 @@ def test_unknown_keys_rejected():
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig.from_text("learning_rte = 0.1")
     assert "learning_rte" in str(exc.value)
+    # the pooling pipeline is fixed: its former toggles are unknown keys now
+    for text in ("squared_features = true", "normalize_pooled = false"):
+        with pytest.raises(ConfigError) as exc:
+            ExperimentConfig.from_text(text)
+        assert text.split(" ")[0] in str(exc.value)
 
 
 def test_bad_value_gives_field_level_error():
-    for text in ("epochs_per_task = soon", "squared_features = maybe", "stage_filters = 4,x"):
+    for text in ("epochs_per_task = soon", "balanced_finetune = maybe", "stage_filters = 4,x"):
         with pytest.raises(ConfigError) as exc:
             ExperimentConfig.from_text(text)
         assert text.split(" ")[0] in str(exc.value)
@@ -69,10 +74,10 @@ def test_bad_value_gives_field_level_error():
 
 def test_values_cast_by_field_type():
     cfg = ExperimentConfig.from_text(
-        "stage_filters = 4, 8\nsquared_features = no\nmargin = 1\npod_mode = gap"
+        "stage_filters = 4, 8\nbalanced_finetune = yes\nmargin = 1\npod_mode = gap"
     )
     assert cfg.stage_filters == (4, 8)
-    assert cfg.squared_features is False
+    assert cfg.balanced_finetune is True
     assert cfg.margin == 1.0 and isinstance(cfg.margin, float)
     assert cfg.pod_mode == "gap"
 
@@ -135,8 +140,9 @@ def test_run_outputs_summary_and_plot_data(tmp_path):
     plot = open(os.path.join(out, "plot_data.csv")).read().strip().splitlines()
     assert plot[0] == "mode,task_index,seen_classes,accuracy"
     assert len(plot) == 1 + 2 * 3  # both modes, three tasks
-    assert os.path.exists(os.path.join(out, "checkpoint.json"))
-    assert not [f for f in os.listdir(out) if f.endswith(".tmp")]
+    # the atomic writers leave no temporary file (metrics.csv.tmp included)
+    assert sorted(os.listdir(out)) == [
+        "checkpoint.json", "metrics.csv", "plot_data.csv", "summary.json"]
 
 
 def test_rerun_same_seed_byte_identical_metrics(tmp_path):

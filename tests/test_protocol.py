@@ -19,7 +19,7 @@ from podlearn.protocol import (
     evaluate,
     run_schedule,
 )
-from podlearn.tensor import Tensor
+from podlearn.tensor import Tensor, no_grad
 
 
 def _tiny_dataset(classes=4, seed=0):
@@ -120,14 +120,12 @@ def test_evaluate_cnn_one_hot_proxies():
                          embedding_dim=3)
     model = Backbone(cfg, seed=0)
     # identity-ish head: embedding = pooled channels
-    model.params["head.weight"] = model.params["head.weight"].detach()
+    model.params["head.weight"] = Tensor(model.params["head.weight"].data)
     bank = _orthogonal_setup()
 
     # craft a test point whose embedding equals a proxy by construction:
     # run the model, read its embedding, then plant that embedding as a proxy
     x = np.random.default_rng(0).normal(size=(2, 3, 2, 2))
-    from podlearn.tensor import Tensor, no_grad
-
     with no_grad():
         emb = model.embed(Tensor(x)).data
     bank = ProxyBank(3, 1)
@@ -161,8 +159,6 @@ def test_evaluate_nme_hand_oracle_four_points():
     cfg = BackboneConfig(input_shape=(1, 2, 2), stages=((2, 1), (2, 1)),
                          embedding_dim=2)
     model = Backbone(cfg, seed=3)
-    from podlearn.tensor import Tensor, no_grad
-
     train_x = np.random.default_rng(4).normal(size=(4, 1, 2, 2))
     with no_grad():
         emb = model.embed(Tensor(train_x)).data
@@ -306,6 +302,27 @@ def test_balanced_finetune_flag_recorded_and_runs():
     metrics = run_schedule(sched, cfg, ds, seed=4)
     assert metrics.metadata["balanced_finetune"] is True
     assert len(metrics.nme_accuracy) == 2
+
+
+def test_balanced_finetune_moves_only_the_classifier(monkeypatch):
+    seen = []
+    finetune = IncrementalRunner._balanced_finetune
+
+    def spy(runner):
+        before = {k: p.data.copy() for k, p in runner.backbone.params.items()}
+        theta = runner.bank.theta.data.copy()
+        finetune(runner)
+        seen.append((runner, before, theta))
+
+    monkeypatch.setattr(IncrementalRunner, "_balanced_finetune", spy)
+    ds = _tiny_dataset()
+    sched = TaskSchedule.build(4, 2, 2, seed=4)
+    run_schedule(sched, _tiny_config(balanced_finetune=True, finetune_epochs=2), ds, seed=4)
+    assert len(seen) == 1  # the finetune follows task 1 only
+    runner, before, theta = seen[0]
+    for name, p in runner.backbone.params.items():
+        assert np.array_equal(p.data, before[name]), name
+    assert not np.array_equal(runner.bank.theta.data, theta)
 
 
 def test_ce_classifier_loss_variant_runs():

@@ -20,7 +20,6 @@ from podlearn.tensor import (
     scale,
     softmax,
     square,
-    squared_distance,
     sub,
     tmean,
     transpose,
@@ -90,13 +89,6 @@ def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(5)
     out = softmax(Tensor(rng.normal(size=(6, 9))))
     npt.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-12)
-
-
-def test_squared_distance_rowwise_and_total():
-    a = Tensor([[1.0, 2.0], [0.0, 0.0]])
-    b = Tensor([[0.0, 0.0], [3.0, 4.0]])
-    npt.assert_allclose(squared_distance(a, b, axis=-1).data, [5.0, 25.0])
-    assert squared_distance(a, b).item() == 30.0
 
 
 # -- backward ------------------------------------------------------------
