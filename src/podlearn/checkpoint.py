@@ -48,7 +48,17 @@ def save_run_checkpoint(path: str, config_echo: dict, runner_state: dict) -> Non
 
 
 def load_run_checkpoint(path: str) -> tuple[dict, dict]:
-    blob = load_json(path)
+    """The config echo and runner state of a checkpoint; ``FormatError`` names
+    the path when the file is not a whole checkpoint document."""
+    try:
+        blob = load_json(path)
+    except json.JSONDecodeError as err:
+        raise FormatError(f"{path}: not a complete JSON document ({err})")
+    if not isinstance(blob, dict):
+        raise FormatError(f"{path}: expected a JSON object")
     if blob.get("version") != RUN_CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported run checkpoint version {blob.get('version')}")
+        raise FormatError(f"{path}: unsupported run checkpoint version {blob.get('version')}")
+    for field in ("config", "runner"):
+        if not isinstance(blob.get(field), dict):
+            raise FormatError(f"{path}: missing field {field}")
     return blob["config"], blob["runner"]

@@ -1,9 +1,10 @@
 """Experiment front door: run a config, generate datasets, merge summaries.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime failure. After every
-task a run atomically rewrites ``metrics.csv`` (one row per finished task)
-and a resumable ``checkpoint.json``; at the end it writes ``summary.json``
-plus ``plot_data.csv``.
+Exit codes: 0 success, 1 configuration error (a bad config, or a bad input
+file such as a dataset or a checkpoint), 2 runtime failure. After every task
+a run atomically rewrites ``metrics.csv`` (one row per finished task) and a
+resumable ``checkpoint.json``; at the end it writes ``summary.json`` plus
+``plot_data.csv``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 from .checkpoint import load_run_checkpoint, save_run_checkpoint, write_text_atomic
 from .config import ExperimentConfig, parse_synthetic_spec
 from .datasets import generate_synthetic_dataset, save_dataset
-from .errors import ConfigError, ContractError, PodlearnError
+from .errors import ConfigError, ContractError, FormatError, PodlearnError
 from .protocol import IncrementalRunner, RunMetrics
 
 METRICS_HEADER = "task_index,seen_classes,nme_accuracy,cnn_accuracy"
@@ -76,7 +77,7 @@ def cmd_run(args) -> int:
         else:
             runner = IncrementalRunner(schedule, run_cfg, dataset, cfg.seed)
         _write_metrics(metrics_path, runner.metrics)
-    except (ConfigError, ContractError) as err:
+    except (ConfigError, ContractError, FormatError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
 

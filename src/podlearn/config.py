@@ -218,7 +218,7 @@ class ExperimentConfig:
         if self.dataset.startswith("npz:"):
             try:
                 return load_dataset(self.dataset[len("npz:"):])
-            except OSError as err:
+            except (OSError, FormatError) as err:
                 raise ConfigError(f"dataset: {err}")
         if self.dataset.startswith("cifar:"):
             try:

@@ -9,6 +9,8 @@ incrementally.
 from __future__ import annotations
 
 import os
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,5 +193,42 @@ def save_dataset(ds: Dataset, path: str) -> None:
 
 
 def load_dataset(path: str) -> Dataset:
-    with np.load(path) as z:
-        return Dataset(z["train_x"], z["train_y"], z["test_x"], z["test_y"])
+    """Read a :func:`save_dataset` archive, checking every array it holds.
+
+    Raises ``FormatError`` naming the path and the field when the file is not
+    a readable npz archive, an array is missing, the inputs are not (N, C, W, H)
+    numbers, the labels are not non-negative integers of shape (N,), or a
+    split's inputs and labels differ in row count. A missing file raises
+    ``OSError``.
+    """
+    names = ("train_x", "train_y", "test_x", "test_y")
+    try:
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise FormatError(f"{path}: a single array, not an npz archive")
+        with archive:
+            arrays = {name: archive[name] for name in names if name in archive.files}
+    except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as err:
+        raise FormatError(f"{path}: not a readable npz archive ({err})")
+    for name in names:
+        if name not in arrays:
+            raise FormatError(f"{path}: missing array {name}")
+    for split in ("train", "test"):
+        x, y = arrays[f"{split}_x"], arrays[f"{split}_y"]
+        if x.ndim != 4 or x.dtype.kind not in "iuf":
+            raise FormatError(f"{path}: field {split}_x must be (N, C, W, H) numbers, "
+                              f"got {x.dtype} of shape {x.shape}")
+        if y.ndim != 1 or y.dtype.kind not in "iu":
+            raise FormatError(f"{path}: field {split}_y must be (N,) integer labels, "
+                              f"got {y.dtype} of shape {y.shape}")
+        if y.shape[0] != x.shape[0]:
+            raise FormatError(f"{path}: field {split}_y has {y.shape[0]} labels for "
+                              f"{x.shape[0]} rows of {split}_x")
+        if y.size and y.min() < 0:
+            raise FormatError(f"{path}: field {split}_y holds negative labels")
+    return Dataset(
+        np.asarray(arrays["train_x"], dtype=np.float64),
+        np.asarray(arrays["train_y"], dtype=np.int64),
+        np.asarray(arrays["test_x"], dtype=np.float64),
+        np.asarray(arrays["test_y"], dtype=np.int64),
+    )

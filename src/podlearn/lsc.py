@@ -6,6 +6,11 @@ proxies, so multi-modal classes stay well represented as the embedding
 drifts across tasks. Training minimizes a hinged, margin-shifted NCA loss;
 new classes are initialized by imprinting k-means centroids of their
 embeddings.
+
+The scores and both losses are one autodiff primitive each: a numpy forward
+and a hand-written vjp into the embedding and proxies (scores), or into the
+scores and the learned scale eta (losses). NCA and cross-entropy share one
+max-shifted logsumexp, so no scale overflows.
 """
 
 from __future__ import annotations
@@ -13,22 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, NumericError
-from .tensor import (
-    Tensor,
-    add,
-    exp,
-    l2_normalize,
-    log,
-    matmul,
-    mul,
-    relu,
-    reshape,
-    softmax,
-    sub,
-    tmean,
-    transpose,
-    tsum,
-)
+from .tensor import Tensor, _make, unit_vectors, unit_vectors_vjp
 
 _NORM_EPS = 1e-8
 
@@ -115,15 +105,34 @@ def lsc_scores(h: Tensor, bank: ProxyBank) -> Tensor:
 
     For each class, cosine similarities to its K proxies are softmax-weighted
     and summed; with K == 1 this reduces to the plain cosine similarity. All
-    classes go through one matmul against the (C*K, D) unit proxies.
+    classes go through one matmul against the (C*K, D) unit proxies. One
+    primitive: its vjp goes into ``h`` and the proxy tensor.
     """
     _check_h(h, bank)
     _require_nonzero_rows(bank.theta.data, "proxy weights")
-    C, K, D = bank.theta.shape
-    proxies = l2_normalize(reshape(bank.theta, (C * K, D)), axis=-1)
-    sims = matmul(l2_normalize(h, axis=-1), transpose(proxies))     # (B, C*K)
-    sims = reshape(sims, (h.shape[0], C, K))
-    return tsum(mul(softmax(sims, axis=-1), sims), axis=2)
+    theta = bank.theta
+    C, K, D = theta.shape
+    B = h.shape[0]
+    proxies = unit_vectors(theta.data.reshape(C * K, D))
+    unit_h = unit_vectors(h.data)
+    proxies_t = proxies[0].T.copy()                                  # (D, C*K)
+    sims = (unit_h[0] @ proxies_t).reshape(B, C, K)
+    e = np.exp(sims - sims.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)                      # softmax over K
+
+    def vjp(g):
+        g = g[:, :, None]
+        g_weights = g * sims
+        dot = np.sum(g_weights * weights, axis=-1, keepdims=True)
+        g_sims = (g * weights + weights * (g_weights - dot)).reshape(B, C * K)
+        g_h = unit_vectors_vjp(g_sims @ proxies_t.T, *unit_h) if h.requires_grad else None
+        g_theta = None
+        if theta.requires_grad:
+            g_proxies = (unit_h[0].T @ g_sims).T
+            g_theta = unit_vectors_vjp(g_proxies, *proxies).reshape(C, K, D)
+        return g_h, g_theta
+
+    return _make((weights * sims).sum(axis=2), "lsc_scores", (h, theta), vjp)
 
 
 def _check_h(h: Tensor, bank: ProxyBank) -> None:
@@ -148,17 +157,51 @@ def _check_labels(yhat: Tensor, labels: np.ndarray) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def _logsumexp(scaled: Tensor, keep: np.ndarray) -> Tensor:
+def _logsumexp(scaled: np.ndarray, keep: np.ndarray):
     """Row-wise ``log(sum(exp(scaled)))`` over the entries where ``keep`` is 1.
 
     Each row is shifted by its largest kept entry, a constant that is added
     back after the log, so no exponent exceeds 0 whatever the scale. Dropped
-    entries are shifted to exactly 0 and masked out after the exp.
+    entries are shifted to exactly 0 and masked out after the exp. Returns
+    the row values, the shifted exponentials and their kept row sums; the
+    gradient of row i with respect to ``scaled`` is ``keep * exps / sums[i]``.
     """
-    row_max = np.where(keep > 0, scaled.data, -np.inf).max(axis=1)
-    shift = np.where(keep > 0, row_max[:, None], scaled.data)
-    terms = mul(exp(sub(scaled, Tensor(shift))), Tensor(keep))
-    return add(log(tsum(terms, axis=1)), Tensor(row_max))
+    row_max = np.where(keep > 0, scaled, -np.inf).max(axis=1)
+    shift = np.where(keep > 0, row_max[:, None], scaled)
+    exps = np.exp(scaled - shift)
+    sums = (exps * keep).sum(axis=1)
+    return np.log(sums) + row_max, exps, sums
+
+
+def _scaled_target_loss(op: str, yhat: Tensor, labels: np.ndarray, eta, keep: np.ndarray,
+                        delta: float, hinge: bool) -> Tensor:
+    """Batch mean of ``logsumexp_keep(eta * yhat) - eta * (yhat_y - delta)``.
+
+    Hinged at 0 per sample when ``hinge``. One primitive: its vjp goes into
+    ``yhat``, and into ``eta`` when that is a tensor taking gradients.
+    """
+    eta_t = eta if isinstance(eta, Tensor) else Tensor(np.asarray(float(eta)))
+    onehot = np.zeros(yhat.shape)
+    onehot[np.arange(labels.size), labels] = 1.0
+    scaled = yhat.data * eta_t.data
+    target = (scaled * onehot).sum(axis=1)                           # eta * score_y
+    lse, exps, sums = _logsumexp(scaled, keep)
+    per_sample = lse - (target - eta_t.data * delta)
+    active = per_sample > 0
+    if hinge:
+        per_sample = np.where(active, per_sample, 0.0)
+
+    def vjp(g):
+        g_rows = np.broadcast_to(g, (yhat.shape[0],)) / yhat.shape[0]
+        if hinge:
+            g_rows = g_rows * active
+        g_scaled = (-g_rows)[:, None] * onehot + (g_rows / sums)[:, None] * keep * exps
+        g_eta = None
+        if eta_t.requires_grad:
+            g_eta = (g_scaled * yhat.data).sum(axis=0).sum(axis=0) + g_rows.sum(axis=0) * delta
+        return g_scaled * eta_t.data, g_eta
+
+    return _make(np.asarray(per_sample.mean()), op, (yhat, eta_t), vjp)
 
 
 def nca_hinge_loss(yhat: Tensor, labels, eta, delta: float) -> Tensor:
@@ -173,26 +216,16 @@ def nca_hinge_loss(yhat: Tensor, labels, eta, delta: float) -> Tensor:
         raise ContractError("nca_hinge_loss needs >= 2 classes (empty denominator)")
     if delta < 0:
         raise ContractError(f"margin must be >= 0, got {delta}")
-    eta_t = eta if isinstance(eta, Tensor) else Tensor(np.asarray(float(eta)))
-    onehot = np.zeros(yhat.shape)
-    onehot[np.arange(labels.size), labels] = 1.0
-
-    scaled = mul(yhat, eta_t)
-    target = tsum(mul(scaled, Tensor(onehot)), axis=1)        # eta * score_y
-    margin_term = sub(target, mul(eta_t, Tensor(float(delta))))
-    per_sample = relu(sub(_logsumexp(scaled, 1.0 - onehot), margin_term))
-    return tmean(per_sample)
+    keep = np.ones(yhat.shape)
+    keep[np.arange(labels.size), labels] = 0.0
+    return _scaled_target_loss("nca_hinge_loss", yhat, labels, eta, keep, float(delta), True)
 
 
 def cross_entropy_loss(yhat: Tensor, labels, eta) -> Tensor:
     """Plain cross-entropy over eta-scaled scores (the ablation head)."""
     labels = _check_labels(yhat, labels)
-    eta_t = eta if isinstance(eta, Tensor) else Tensor(np.asarray(float(eta)))
-    onehot = np.zeros(yhat.shape)
-    onehot[np.arange(labels.size), labels] = 1.0
-    scaled = mul(yhat, eta_t)
-    target = tsum(mul(scaled, Tensor(onehot)), axis=1)
-    return tmean(sub(_logsumexp(scaled, np.ones(yhat.shape)), target))
+    return _scaled_target_loss("cross_entropy_loss", yhat, labels, eta,
+                               np.ones(yhat.shape), 0.0, False)
 
 
 def kmeans(points: np.ndarray, k: int, iters: int = 25, seed=0) -> np.ndarray:

@@ -5,6 +5,13 @@ mode-specific subset of axes. Less pooling pins the student harder to the
 teacher; more pooling leaves it freer to reorganize. Pipeline per sample:
 square elementwise, sum over the pooled axes, flatten, L2-normalize the
 pooled vector, then squared Euclidean distance; batches are averaged.
+
+Each loss is one autodiff primitive: its forward runs that pipeline in
+numpy, and a hand-written vjp returns the gradient of each input that takes
+one. The teacher is frozen for a whole task, so its half of the pipeline can
+be run once: :func:`pod_targets` reduces a teacher forward to its unit
+pooled rows and unit embedding, and :func:`pod_final` compares a student
+forward against them.
 """
 
 from __future__ import annotations
@@ -13,8 +20,11 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
+from .backbone import StageOutputs
 from .errors import ContractError, ShapeError
-from .tensor import Tensor, l2_normalize, reshape, scale, square, sub, tmean, tsum
+from .tensor import Tensor, _make, unit_vectors, unit_vectors_vjp
 
 
 class PodMode(str, Enum):
@@ -53,11 +63,39 @@ class PodConfig:
                 raise ContractError(f"PodConfig.{name} must be finite and >= 0, got {v}")
 
 
-def _unit_distance(a: Tensor, b: Tensor) -> Tensor:
-    """Squared distance of the L2-normalized rows of ``a`` and ``b``, batch-averaged."""
-    ua = l2_normalize(reshape(a, (a.shape[0], -1)), axis=-1)
-    ub = l2_normalize(reshape(b, (b.shape[0], -1)), axis=-1)
-    return tmean(tsum(square(sub(ua, ub)), axis=-1))
+def _unit_groups(x: np.ndarray, mode: PodMode) -> list[tuple]:
+    """``unit_vectors`` of the squared map pooled over each axis group of ``mode``."""
+    sq = x * x
+    return [unit_vectors(sq.sum(axis=axes).reshape(x.shape[0], -1))
+            for axes in _POOLED_AXES[mode]]
+
+
+def _unit_groups_vjp(x: np.ndarray, mode: PodMode, groups, grads) -> np.ndarray:
+    """Gradient into the map ``x`` from gradients on its unit pooled rows."""
+    total = None
+    for axes, (y, alive, safe), g in zip(_POOLED_AXES[mode], groups, grads):
+        pooled = tuple(n for i, n in enumerate(x.shape) if i not in axes)
+        g = unit_vectors_vjp(g, y, alive, safe).reshape(pooled)
+        g = np.broadcast_to(np.expand_dims(g, axes), x.shape)
+        total = g if total is None else total + g
+    return 2.0 * x * total
+
+
+def _distances(rows_a, rows_b):
+    """Sum over paired (B, F) unit rows of their batch-mean squared distance.
+
+    Returns the sum and the per-pair differences ``a - b``; the gradient of
+    the sum is ``2 * diff / B`` into ``a`` and its negative into ``b``.
+    """
+    total, diffs = None, []
+    for ua, ub in zip(rows_a, rows_b):
+        if ua.shape != ub.shape:
+            raise ShapeError("pod", f"pooled rows differ: {ua.shape} vs {ub.shape}")
+        diff = ua - ub
+        d = (diff * diff).sum(axis=-1).mean()
+        total = d if total is None else total + d
+        diffs.append(diff)
+    return total, diffs
 
 
 def pod_pooled(a: Tensor, b: Tensor, mode: PodMode) -> Tensor:
@@ -67,12 +105,17 @@ def pod_pooled(a: Tensor, b: Tensor, mode: PodMode) -> Tensor:
         raise ShapeError("pod_pooled", f"stage maps differ: {a.shape} vs {b.shape}")
     if a.data.ndim != 4 or a.shape[0] < 1:
         raise ShapeError("pod_pooled", f"expected (B, C, W, H) maps, got {a.shape}")
-    sa, sb = square(a), square(b)
-    total = None
-    for axes in _POOLED_AXES[mode]:
-        d = _unit_distance(tsum(sa, axis=axes), tsum(sb, axis=axes))
-        total = d if total is None else total + d
-    return total
+    ga, gb = _unit_groups(a.data, mode), _unit_groups(b.data, mode)
+    total, diffs = _distances([u[0] for u in ga], [u[0] for u in gb])
+
+    def vjp(g):
+        grads = [2.0 * diff * (g / a.shape[0]) for diff in diffs]
+        return (
+            _unit_groups_vjp(a.data, mode, ga, grads) if a.requires_grad else None,
+            _unit_groups_vjp(b.data, mode, gb, [-x for x in grads]) if b.requires_grad else None,
+        )
+
+    return _make(np.asarray(total), "pod_pooled", (a, b), vjp)
 
 
 def pod_flat(h_teacher: Tensor, h_student: Tensor) -> Tensor:
@@ -87,32 +130,125 @@ def pod_flat(h_teacher: Tensor, h_student: Tensor) -> Tensor:
         )
     if h_teacher.data.ndim != 2:
         raise ShapeError("pod_flat", f"expected (B, D) embeddings, got {h_teacher.shape}")
-    return _unit_distance(h_teacher, h_student)
+    ua, ub = unit_vectors(h_teacher.data), unit_vectors(h_student.data)
+    total, (diff,) = _distances([ua[0]], [ub[0]])
+
+    def vjp(g):
+        gd = 2.0 * diff * (g / h_teacher.shape[0])
+        return (
+            unit_vectors_vjp(gd, *ua) if h_teacher.requires_grad else None,
+            unit_vectors_vjp(-gd, *ub) if h_student.requires_grad else None,
+        )
+
+    return _make(np.asarray(total), "pod_flat", (h_teacher, h_student), vjp)
 
 
-def pod_final(teacher, student, cfg: PodConfig, scale_factor: float) -> Tensor:
+@dataclass
+class PodTargets:
+    """A teacher forward reduced to what :func:`pod_final` compares against.
+
+    ``stages[i][j]`` holds the unit pooled rows (B, F) of stage map ``i`` for
+    axis group ``j`` of ``mode``; ``embedding`` holds the unit embedding rows.
+    Indexing with rows selects samples; assigning to rows writes into these
+    arrays, so targets for a whole pool can be filled chunk by chunk.
+    """
+
+    mode: PodMode
+    stages: tuple[tuple[np.ndarray, ...], ...]
+    embedding: np.ndarray
+
+    def _map(self, fn) -> "PodTargets":
+        stages = tuple(tuple(fn(r) for r in groups) for groups in self.stages)
+        return PodTargets(self.mode, stages, fn(self.embedding))
+
+    def _arrays(self) -> list[np.ndarray]:
+        return [r for groups in self.stages for r in groups] + [self.embedding]
+
+    def __len__(self) -> int:
+        return self.embedding.shape[0]
+
+    def __getitem__(self, rows) -> "PodTargets":
+        return self._map(lambda r: r[rows])
+
+    def __setitem__(self, rows, other: "PodTargets") -> None:
+        for dst, src in zip(self._arrays(), other._arrays()):
+            dst[rows] = src
+
+    def empty(self, n: int) -> "PodTargets":
+        """Uninitialised targets of ``n`` rows, each array as wide as here."""
+        return self._map(lambda r: np.empty((n, r.shape[1])))
+
+
+def pod_targets(outs: StageOutputs, mode: PodMode) -> PodTargets:
+    """The unit pooled rows of every stage map, and the unit embedding."""
+    mode = PodMode(mode)
+    stages = tuple(
+        tuple(y for y, _, _ in _unit_groups(m.data, mode)) for m in outs.stage_maps
+    )
+    return PodTargets(mode, stages, unit_vectors(outs.embedding.data)[0])
+
+
+def pod_final(teacher: PodTargets, student: StageOutputs, cfg: PodConfig,
+              scale_factor: float) -> Tensor:
     """Combined distillation loss over all stage maps plus the flat embedding.
 
-    ``scale_factor`` is the adaptive factor sqrt(seen / new) supplied by the
-    protocol; both terms are multiplied by it. The intermediate term averages
-    over the constrained stage maps.
+    ``teacher`` holds the frozen teacher's :func:`pod_targets` for the same
+    samples, in the same order. ``scale_factor`` is the adaptive factor
+    sqrt(seen / new) supplied by the protocol; both terms are multiplied by
+    it. The intermediate term averages over the constrained stage maps.
+    Gradients go into the student's stage maps and embedding only.
     """
     if not (math.isfinite(scale_factor) and scale_factor > 0):
         raise ContractError(f"pod_final: scale must be positive, got {scale_factor}")
-    t_maps, s_maps = teacher.stage_maps, student.stage_maps
-    if len(t_maps) != len(s_maps):
+    s_maps = student.stage_maps
+    if len(teacher.stages) != len(s_maps):
         raise ShapeError(
-            "pod_final", f"stage counts differ: {len(t_maps)} vs {len(s_maps)}"
+            "pod_final", f"stage counts differ: {len(teacher.stages)} vs {len(s_maps)}"
         )
+    mode = PodMode(cfg.mode)
+    if teacher.mode != mode:
+        raise ContractError(f"pod_final: targets pooled by {teacher.mode.value}, "
+                            f"config asks for {mode.value}")
+    rows = student.embedding.shape[0]
+    if len(teacher) != rows:
+        raise ShapeError("pod_final", f"{len(teacher)} teacher rows for {rows} student rows")
+
     total = None
-    if cfg.lambda_c > 0 and t_maps:
-        inter = pod_pooled(t_maps[0], s_maps[0], cfg.mode)
-        for tm, sm in zip(t_maps[1:], s_maps[1:]):
-            inter = inter + pod_pooled(tm, sm, cfg.mode)
-        total = scale(inter, cfg.lambda_c / len(t_maps))
+    stage_terms = []  # (map, its unit groups, teacher - student differences)
+    if cfg.lambda_c > 0 and s_maps:
+        weight_c = cfg.lambda_c / len(s_maps)
+        inter = None
+        for sm, t_rows in zip(s_maps, teacher.stages):
+            groups = _unit_groups(sm.data, mode)
+            d, diffs = _distances(t_rows, [u[0] for u in groups])
+            inter = d if inter is None else inter + d
+            stage_terms.append((sm, groups, diffs))
+        total = inter * weight_c
+    emb = None
     if cfg.lambda_f > 0:
-        flat = scale(pod_flat(teacher.embedding, student.embedding), cfg.lambda_f)
+        emb = unit_vectors(student.embedding.data)
+        flat, (flat_diff,) = _distances([teacher.embedding], [emb[0]])
+        flat = flat * cfg.lambda_f
         total = flat if total is None else total + flat
     if total is None:
         return Tensor(0.0)
-    return scale(total, scale_factor)
+
+    def vjp(g):
+        g = g * scale_factor
+        grads = []
+        if stage_terms:
+            c = g * weight_c / rows
+            for sm, groups, diffs in stage_terms:
+                grads.append(_unit_groups_vjp(
+                    sm.data, mode, groups, [-(2.0 * diff * c) for diff in diffs]
+                ) if sm.requires_grad else None)
+        if emb is not None:
+            c = g * cfg.lambda_f / rows
+            grads.append(unit_vectors_vjp(-(2.0 * flat_diff * c), *emb)
+                         if student.embedding.requires_grad else None)
+        return tuple(grads)
+
+    parents = [sm for sm, _, _ in stage_terms]
+    if emb is not None:
+        parents.append(student.embedding)
+    return _make(np.asarray(total * scale_factor), "pod_final", parents, vjp)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .backbone import Backbone, BackboneConfig
 from .datasets import Dataset
-from .errors import ContractError
+from .errors import ContractError, FormatError
 from .lsc import (
     ProxyBank,
     cross_entropy_loss,
@@ -25,7 +25,7 @@ from .lsc import (
     nca_hinge_loss,
 )
 from .memory import Budget, ExemplarMemory, PerClass, herd_select
-from .pod import PodConfig, pod_final
+from .pod import PodConfig, PodMode, PodTargets, pod_final, pod_targets
 from .tensor import Tensor, no_grad
 
 
@@ -175,14 +175,36 @@ def _cosine_lr(base: float, epoch: int, total_epochs: int) -> float:
     return base * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
-def _embed_all(model: Backbone, x: np.ndarray, batch: int = 64) -> np.ndarray:
+def _forward_chunks(model: Backbone, x: np.ndarray, batch: int = 64):
+    """Yield ``(rows, StageOutputs)`` for ``x`` in chunks, each forwarded under no_grad."""
     # chunks of 64 keep conv2d's column matrices (up to KW*KH times the size
     # of their input map) below the peak memory a training step reaches anyway
-    chunks = []
-    with no_grad():
-        for i in range(0, x.shape[0], batch):
-            chunks.append(model.embed(Tensor(x[i : i + batch])).data)
-    return np.concatenate(chunks)
+    for lo in range(0, x.shape[0], batch):
+        with no_grad():
+            outs = model.forward_with_stages(Tensor(x[lo : lo + batch]))
+        yield slice(lo, lo + batch), outs
+
+
+def _embed_all(model: Backbone, x: np.ndarray, batch: int = 64) -> np.ndarray:
+    emb = np.empty((x.shape[0], model.config.embedding_dim))
+    for rows, outs in _forward_chunks(model, x, batch):
+        emb[rows] = outs.embedding.data
+    return emb
+
+
+def _teacher_targets(teacher: Backbone, x: np.ndarray, mode: PodMode) -> PodTargets:
+    """The frozen teacher's POD targets for every row of ``x``, computed once.
+
+    Only the unit pooled rows are kept, written into arrays allocated from
+    the first chunk; the teacher's raw stage maps are dropped chunk by chunk.
+    """
+    targets = None
+    for rows, outs in _forward_chunks(teacher, x):
+        chunk = pod_targets(outs, mode)
+        if targets is None:
+            targets = chunk.empty(x.shape[0])
+        targets[rows] = chunk
+    return targets
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
@@ -234,6 +256,11 @@ def evaluate(
                 preds_chunks.append(scores.data.argmax(axis=1))
         preds = np.concatenate(preds_chunks)
     return float((preds == test_y).mean())
+
+
+# top-level keys of IncrementalRunner.to_state
+_STATE_FIELDS = ("task_cursor", "seed", "class_map", "backbone", "bank", "memory", "rng",
+                 "metrics")
 
 
 class IncrementalRunner:
@@ -377,14 +404,18 @@ class IncrementalRunner:
         if self.bank.num_classes < 2 and cfg.classifier_loss == "nca":
             raise ContractError("NCA loss needs >= 2 classes in the first task")
         indices, labels = self._task_train_pool(new_classes)
+        # the teacher is frozen for the whole task: run it once over the pool
+        targets = None if teacher is None else _teacher_targets(
+            teacher, self.dataset.train_x[indices], cfg.pod.mode
+        )
 
         def batch_loss(sel):
             x = Tensor(self.dataset.train_x[indices[sel]])
             outs = self.backbone.forward_with_stages(x)
             loss = self._classifier_loss(lsc_scores(outs.embedding, self.bank), labels[sel])
-            if teacher is None:
+            if targets is None:
                 return loss
-            return loss + pod_final(teacher.forward_with_stages(x), outs, cfg.pod, lam)
+            return loss + pod_final(targets[sel], outs, cfg.pod, lam)
 
         self._sgd_epochs(self.backbone.parameters() + self.bank.parameters(),
                          cfg.learning_rate, cfg.epochs_per_task, indices.size, batch_loss)
@@ -432,6 +463,9 @@ class IncrementalRunner:
     def from_state(
         cls, schedule: TaskSchedule, config: RunConfig, dataset: Dataset, state: dict
     ) -> "IncrementalRunner":
+        for name in _STATE_FIELDS:
+            if name not in state:
+                raise FormatError(f"checkpoint field runner.{name} is missing")
         runner = cls(schedule, config, dataset, state["seed"])
         runner.task_cursor = state["task_cursor"]
         runner.class_map = [int(c) for c in state["class_map"]]

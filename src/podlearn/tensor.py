@@ -325,6 +325,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
+def unit_vectors(x: np.ndarray, axis: int = -1, eps: float = 1e-8):
+    """Numpy core of :func:`l2_normalize`: ``(unit, alive, safe_norm)``.
+
+    Slices whose norm is at most ``eps`` map to the zero vector. The fused
+    loss primitives call this and :func:`unit_vectors_vjp` directly, so every
+    normalization in the package follows one rule.
+    """
+    norm = np.sqrt(np.sum(x * x, axis=axis, keepdims=True))
+    alive = norm > eps
+    safe = np.where(alive, norm, 1.0)
+    return np.where(alive, x / safe, 0.0), alive, safe
+
+
+def unit_vectors_vjp(g, y, alive, safe, axis: int = -1) -> np.ndarray:
+    """Gradient through :func:`unit_vectors`; zero on the dead slices."""
+    dot = np.sum(g * y, axis=axis, keepdims=True)
+    return np.where(alive, (g - y * dot) / safe, 0.0)
+
+
 def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:
     """Normalize to unit L2 norm along ``axis``.
 
@@ -333,16 +352,9 @@ def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:
     """
     if eps <= 0:
         raise ContractError("l2_normalize: eps must be positive")
-    norm = np.sqrt(np.sum(a.data * a.data, axis=axis, keepdims=True))
-    alive = norm > eps
-    safe = np.where(alive, norm, 1.0)
-    y = np.where(alive, a.data / safe, 0.0)
-
-    def vjp(g):
-        dot = np.sum(g * y, axis=axis, keepdims=True)
-        return (np.where(alive, (g - y * dot) / safe, 0.0),)
-
-    return _make(y, "l2_normalize", (a,), vjp)
+    y, alive, safe = unit_vectors(a.data, axis, eps)
+    return _make(y, "l2_normalize", (a,),
+                 lambda g: (unit_vectors_vjp(g, y, alive, safe, axis),))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -8,7 +8,7 @@ from podlearn.backbone import Backbone, BackboneConfig
 from podlearn.errors import ContractError, FormatError, ShapeError
 from podlearn.gradcheck import gradient_check
 from podlearn.lsc import ProxyBank, lsc_scores, nca_hinge_loss
-from podlearn.pod import PodConfig, pod_final
+from podlearn.pod import PodConfig, pod_final, pod_targets
 from podlearn.protocol import SGD
 from podlearn.tensor import Tensor, tsum
 
@@ -77,7 +77,7 @@ def test_gradients_through_whole_training_graph_into_conv_weight():
     for _ in range(3):
         bank.add_class(rng.normal(size=(2, 5)))
     labels = np.array([0, 2, 1])
-    t_outs = teacher.forward_with_stages(x)
+    t_outs = pod_targets(teacher.forward_with_stages(x), PodConfig().mode)
     name = "stage0.block0.weight"
 
     def composite(weight):

@@ -196,6 +196,41 @@ def test_resume_rejects_mismatched_config(tmp_path, capsys):
     assert main(["run", other, "--output", out, "--resume"]) == 1
 
 
+def _checkpointed_out_dir(tmp_path):
+    """A config and an output dir holding a valid checkpoint.json written before task 0."""
+    from podlearn.checkpoint import save_run_checkpoint
+    from podlearn.protocol import IncrementalRunner
+
+    cfg_path = _write(tmp_path, TINY_INCREMENTAL)
+    cfg = ExperimentConfig.from_file(cfg_path)
+    ds = cfg.load_data()
+    runner = IncrementalRunner(cfg.schedule(), cfg.run_config(ds.input_shape), ds, cfg.seed)
+    out = tmp_path / "out"
+    out.mkdir()
+    save_run_checkpoint(str(out / "checkpoint.json"), cfg.to_dict(), runner.to_state())
+    return cfg_path, out
+
+
+def test_resume_truncated_checkpoint_exits_one(tmp_path, capsys):
+    cfg_path, out = _checkpointed_out_dir(tmp_path)
+    ckpt = out / "checkpoint.json"
+    ckpt.write_text(ckpt.read_text()[:200])
+    assert main(["run", cfg_path, "--output", str(out), "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(ckpt) in err
+
+
+def test_resume_checkpoint_missing_field_exits_one(tmp_path, capsys):
+    cfg_path, out = _checkpointed_out_dir(tmp_path)
+    ckpt = out / "checkpoint.json"
+    blob = json.loads(ckpt.read_text())
+    del blob["runner"]["bank"]
+    ckpt.write_text(json.dumps(blob))
+    assert main(["run", cfg_path, "--output", str(out), "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "runner.bank" in err
+
+
 # -- generate / summarize --------------------------------------------------------------
 
 

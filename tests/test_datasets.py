@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from podlearn.config import ExperimentConfig
 from podlearn.datasets import (
     Dataset,
     SyntheticSpec,
@@ -12,7 +13,7 @@ from podlearn.datasets import (
     load_dataset,
     save_dataset,
 )
-from podlearn.errors import ContractError, FormatError
+from podlearn.errors import ConfigError, ContractError, FormatError
 
 
 def test_spec_validation():
@@ -68,6 +69,67 @@ def test_dataset_roundtrip_npz(tmp_path):
     loaded = load_dataset(path)
     assert (loaded.train_x == ds.train_x).all()
     assert (loaded.test_y == ds.test_y).all()
+
+
+def _saved_arrays(tmp_path, **override):
+    """Write a small valid dataset with some arrays replaced (None drops one)."""
+    ds = generate_synthetic_dataset(SyntheticSpec(classes=2, samples_per_class=10), seed=1)
+    arrays = {"train_x": ds.train_x, "train_y": ds.train_y,
+              "test_x": ds.test_x, "test_y": ds.test_y}
+    arrays.update(override)
+    path = str(tmp_path / "data.npz")
+    np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+    return path
+
+
+def test_npz_truncated_or_not_a_zip_rejected(tmp_path):
+    path = _saved_arrays(tmp_path)
+    raw = open(path, "rb").read()
+    for content in (raw[: len(raw) // 2], b"not an archive at all"):
+        with open(path, "wb") as fh:
+            fh.write(content)
+        with pytest.raises(FormatError) as exc:
+            load_dataset(path)
+        assert path in str(exc.value)
+    # a run's config reports it as a configuration error
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig.from_text(f"dataset = npz:{path}").load_data()
+    assert path in str(exc.value)
+
+
+def test_npz_missing_array_rejected(tmp_path):
+    path = _saved_arrays(tmp_path, test_y=None)
+    with pytest.raises(FormatError) as exc:
+        load_dataset(path)
+    assert path in str(exc.value) and "test_y" in str(exc.value)
+
+
+def test_npz_non_integer_labels_rejected(tmp_path):
+    path = _saved_arrays(tmp_path, train_y=np.linspace(0.5, 1.5, 16))
+    with pytest.raises(FormatError) as exc:
+        load_dataset(path)
+    assert path in str(exc.value) and "train_y" in str(exc.value)
+
+
+def test_npz_rank_or_row_count_mismatch_rejected(tmp_path):
+    rng = np.random.default_rng(0)
+    cases = {
+        "train_x": rng.normal(size=(16, 3, 8)),      # rank 3
+        "test_y": np.zeros((4, 1), dtype=np.int64),  # rank 2
+        "train_y": np.zeros(15, dtype=np.int64),     # 15 labels for 16 rows
+    }
+    for field, bad in cases.items():
+        path = _saved_arrays(tmp_path, **{field: bad})
+        with pytest.raises(FormatError) as exc:
+            load_dataset(path)
+        assert path in str(exc.value) and field in str(exc.value)
+
+
+def test_npz_negative_labels_rejected(tmp_path):
+    path = _saved_arrays(tmp_path, test_y=np.array([0, 1, -1, 0]))
+    with pytest.raises(FormatError) as exc:
+        load_dataset(path)
+    assert path in str(exc.value) and "test_y" in str(exc.value)
 
 
 # -- CIFAR binary ingestion ---------------------------------------------------------

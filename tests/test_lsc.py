@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from podlearn.errors import ContractError, NumericError
+from podlearn.gradcheck import gradient_check
 from podlearn.lsc import (
     ProxyBank,
     cross_entropy_loss,
@@ -13,7 +14,7 @@ from podlearn.lsc import (
     lsc_scores,
     nca_hinge_loss,
 )
-from podlearn.tensor import Tensor
+from podlearn.tensor import Tensor, mul, tsum
 
 from oracles import (
     kmeans_two_cluster_optima,
@@ -157,8 +158,6 @@ def test_nca_learns_through_eta_tensor():
 def test_gradients_flow_through_scores_into_loss():
     # composite lsc_scores -> nca_hinge_loss, checked against central
     # differences away from the hinge kink
-    from podlearn.gradcheck import gradient_check
-
     rng = np.random.default_rng(20)
     theta = [rng.normal(size=(3, 5)) for _ in range(3)]
     bank = _bank(theta)
@@ -175,8 +174,6 @@ def test_gradients_flow_through_scores_into_loss():
 
 def test_gradients_flow_through_scores_into_proxies():
     # same composite, differentiated with respect to the (C, K, D) proxy tensor
-    from podlearn.gradcheck import gradient_check
-
     rng = np.random.default_rng(21)
     bank = _bank([rng.normal(size=(3, 5)) for _ in range(3)])
     h = Tensor(rng.normal(size=(3, 5)))
@@ -190,6 +187,50 @@ def test_gradients_flow_through_scores_into_proxies():
         point = Tensor(rng.normal(size=(3, 3, 5)))
         assert composite(point).item() > 0.05  # away from the kink
         assert gradient_check(composite, point, eps=1e-5) <= 1e-4
+
+
+def test_scores_gradient_into_proxies_k3():
+    # lsc_scores alone, weighted so each class's column counts differently
+    rng = np.random.default_rng(22)
+    bank = _bank([rng.normal(size=(3, 5)) for _ in range(4)])
+    h = Tensor(rng.normal(size=(3, 5)))
+    weights = Tensor(rng.normal(size=(3, 4)))
+
+    def weighted(theta):
+        bank.theta = theta
+        return tsum(mul(lsc_scores(h, bank), weights))
+
+    for _ in range(5):
+        point = Tensor(rng.normal(size=(4, 3, 5)))
+        assert gradient_check(weighted, point, eps=1e-5) <= 1e-4
+
+
+def test_nca_gradients_into_eta_and_scores_with_an_inactive_row():
+    # row 0 clears its margin (pre-hinge -1.6), rows 1 and 2 do not (about
+    # 1.0 and 1.7): every margin is far from the kink
+    yhat = np.array([[0.9, -0.5, -0.6], [0.1, 0.3, 0.2], [-0.2, 0.4, 0.0]])
+    labels, delta = np.array([0, 1, 2]), 0.3
+    eta = Tensor(np.asarray(2.0))
+    assert gradient_check(lambda e: nca_hinge_loss(Tensor(yhat), labels, e, delta),
+                          eta, eps=1e-5) <= 1e-4
+    assert gradient_check(lambda t: nca_hinge_loss(t, labels, eta, delta),
+                          Tensor(yhat), eps=1e-5) <= 1e-4
+
+    scores = Tensor(yhat, requires_grad=True)
+    nca_hinge_loss(scores, labels, Tensor(np.asarray(2.0), requires_grad=True), delta).backward()
+    assert (scores.grad[0] == 0.0).all()
+    assert (scores.grad[1:] != 0.0).all()
+
+
+def test_cross_entropy_gradients_into_scores_and_eta():
+    rng = np.random.default_rng(23)
+    yhat = rng.uniform(-1, 1, size=(4, 3))
+    labels = np.array([0, 2, 1, 2])
+    eta = Tensor(np.asarray(2.5))
+    assert gradient_check(lambda t: cross_entropy_loss(t, labels, eta),
+                          Tensor(yhat), eps=1e-5) <= 1e-4
+    assert gradient_check(lambda e: cross_entropy_loss(Tensor(yhat), labels, e),
+                          eta, eps=1e-5) <= 1e-4
 
 
 def test_cross_entropy_matches_definition():

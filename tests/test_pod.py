@@ -4,7 +4,8 @@ import pytest
 
 from podlearn.backbone import StageOutputs
 from podlearn.errors import ContractError, ShapeError
-from podlearn.pod import PodConfig, PodMode, pod_final, pod_flat, pod_pooled
+from podlearn.gradcheck import gradient_check
+from podlearn.pod import PodConfig, PodMode, pod_final, pod_flat, pod_pooled, pod_targets
 from podlearn.tensor import Tensor
 
 from oracles import pod_final_oracle, pod_flat_oracle, pod_pooled_oracle
@@ -80,6 +81,16 @@ def test_non_square_maps_supported():
         assert got == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_gradient_into_second_argument(mode):
+    # A1 checks the first argument; the fused vjp fills each side separately
+    rng = np.random.default_rng(20)
+    fixed = Tensor(rng.normal(size=(2, 2, 3, 4)))
+    for _ in range(5):
+        point = Tensor(rng.normal(size=(2, 2, 3, 4)))
+        assert gradient_check(lambda t: pod_pooled(fixed, t, mode), point, eps=1e-5) <= 1e-4
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ShapeError):
         pod_pooled(Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.zeros((1, 2, 3, 4))),
@@ -112,6 +123,14 @@ def test_flat_matches_oracle():
     assert got == pytest.approx(pod_flat_oracle(a.tolist(), b.tolist()), abs=1e-12)
 
 
+def test_flat_gradient_into_second_argument():
+    rng = np.random.default_rng(24)
+    fixed = Tensor(rng.normal(size=(3, 5)))
+    for _ in range(5):
+        point = Tensor(rng.normal(size=(3, 5)))
+        assert gradient_check(lambda t: pod_flat(fixed, t), point, eps=1e-5) <= 1e-4
+
+
 # -- combined loss --------------------------------------------------------------
 
 
@@ -125,7 +144,7 @@ def test_final_reduces_to_flat_when_lambda_c_zero():
     rng = np.random.default_rng(11)
     t, s = _random_outputs(rng), _random_outputs(rng)
     cfg = PodConfig(lambda_c=0.0, lambda_f=2.0)
-    got = pod_final(t, s, cfg, scale_factor=3.0).item()
+    got = pod_final(pod_targets(t, cfg.mode), s, cfg, scale_factor=3.0).item()
     want = 3.0 * 2.0 * pod_flat(t.embedding, s.embedding).item()
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -134,7 +153,7 @@ def test_final_reduces_to_stage_mean_when_lambda_f_zero():
     rng = np.random.default_rng(12)
     t, s = _random_outputs(rng), _random_outputs(rng)
     cfg = PodConfig(lambda_c=4.0, lambda_f=0.0, mode=PodMode.PIXEL)
-    got = pod_final(t, s, cfg, scale_factor=1.0).item()
+    got = pod_final(pod_targets(t, cfg.mode), s, cfg, scale_factor=1.0).item()
     per_stage = [
         pod_pooled(tm, sm, PodMode.PIXEL).item()
         for tm, sm in zip(t.stage_maps, s.stage_maps)
@@ -146,7 +165,7 @@ def test_final_default_weights_match_oracle():
     rng = np.random.default_rng(13)
     t, s = _random_outputs(rng), _random_outputs(rng)
     cfg = PodConfig()  # lambda_c=3, lambda_f=1, spatial
-    got = pod_final(t, s, cfg, scale_factor=2.5).item()
+    got = pod_final(pod_targets(t, cfg.mode), s, cfg, scale_factor=2.5).item()
     want = pod_final_oracle(
         [m.data.tolist() for m in t.stage_maps],
         [m.data.tolist() for m in s.stage_maps],
@@ -157,16 +176,48 @@ def test_final_default_weights_match_oracle():
     assert got == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_final_gradients_into_each_student_input(mode):
+    # non-square maps of two sizes, so a vjp that mixes up axes or stages fails
+    rng = np.random.default_rng(21)
+    shapes = [(2, 2, 3, 4), (2, 3, 2, 3)]
+
+    def outputs():
+        return StageOutputs([Tensor(rng.normal(size=s)) for s in shapes],
+                            Tensor(rng.normal(size=(2, 5))))
+
+    cfg = PodConfig(lambda_c=3.0, lambda_f=2.0, mode=mode)
+    teacher, student = pod_targets(outputs(), mode), outputs()
+    inputs = [*student.stage_maps, student.embedding]
+    for i, point in enumerate(inputs):
+        def loss(t, i=i):
+            swapped = inputs[:i] + [t] + inputs[i + 1 :]
+            return pod_final(teacher, StageOutputs(swapped[:-1], swapped[-1]), cfg, 1.7)
+
+        assert gradient_check(loss, Tensor(point.data), eps=1e-5) <= 1e-4
+
+
 def test_final_stage_count_mismatch_rejected():
     rng = np.random.default_rng(14)
     with pytest.raises(ShapeError):
-        pod_final(_random_outputs(rng, 2), _random_outputs(rng, 3), PodConfig(), 1.0)
+        pod_final(pod_targets(_random_outputs(rng, 2), PodMode.SPATIAL),
+                  _random_outputs(rng, 3), PodConfig(), 1.0)
+
+
+def test_final_rejects_targets_of_another_mode_or_batch():
+    rng = np.random.default_rng(25)
+    t, s = _random_outputs(rng), _random_outputs(rng)
+    with pytest.raises(ContractError):
+        pod_final(pod_targets(t, PodMode.GAP), s, PodConfig(mode=PodMode.SPATIAL), 1.0)
+    with pytest.raises(ShapeError):
+        pod_final(pod_targets(t, PodMode.SPATIAL)[:1], s, PodConfig(), 1.0)
 
 
 def test_final_requires_positive_scale():
     rng = np.random.default_rng(15)
     with pytest.raises(ContractError):
-        pod_final(_random_outputs(rng), _random_outputs(rng), PodConfig(), 0.0)
+        pod_final(pod_targets(_random_outputs(rng), PodMode.SPATIAL),
+                  _random_outputs(rng), PodConfig(), 0.0)
 
 
 def test_config_rejects_negative_weights():

@@ -7,13 +7,14 @@ from podlearn.datasets import SyntheticSpec, generate_synthetic_dataset
 from podlearn.errors import ContractError
 from podlearn.lsc import ProxyBank
 from podlearn.memory import ExemplarMemory, PerClass, Total
-from podlearn.pod import PodConfig
+from podlearn.pod import PodConfig, pod_final, pod_targets
 from podlearn.protocol import (
     SGD,
     IncrementalRunner,
     RunConfig,
     TaskSchedule,
     _embed_all,
+    _teacher_targets,
     adaptive_scale,
     average_incremental_accuracy,
     evaluate,
@@ -293,6 +294,53 @@ def test_embed_all_chunk_size_does_not_change_embeddings():
     x = np.random.default_rng(31).normal(size=(300, 3, 8, 8))
     npt.assert_allclose(_embed_all(model, x, batch=64), _embed_all(model, x, batch=256),
                         atol=1e-12)
+
+
+def test_cached_teacher_rows_match_a_fresh_teacher_forward():
+    cfg = BackboneConfig()
+    teacher = Backbone(cfg, seed=4).clone_frozen()
+    student = Backbone(cfg, seed=5)
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(150, 3, 8, 8))  # three chunks, the last one partial
+    targets = _teacher_targets(teacher, x, PodConfig().mode)
+    sel = rng.choice(150, size=32, replace=False)
+    outs = student.forward_with_stages(Tensor(x[sel]))
+    cached = pod_final(targets[sel], outs, PodConfig(), 1.3).item()
+    fresh_targets = pod_targets(teacher.forward_with_stages(Tensor(x[sel])), PodConfig().mode)
+    fresh = pod_final(fresh_targets, outs, PodConfig(), 1.3).item()
+    assert cached == pytest.approx(fresh, abs=1e-12)
+
+
+def test_teacher_runs_once_per_task_in_chunks_of_64(monkeypatch):
+    calls = []
+    clone = Backbone.clone_frozen
+
+    def counted_clone(model):
+        teacher = clone(model)
+        forward = teacher.forward_with_stages
+
+        def counted(batch):
+            calls.append(batch.shape[0])
+            return forward(batch)
+
+        teacher.forward_with_stages = counted
+        return teacher
+
+    monkeypatch.setattr(Backbone, "clone_frozen", counted_clone)
+    ds = generate_synthetic_dataset(
+        SyntheticSpec(classes=4, samples_per_class=50, channels=2, width=6, height=6), seed=8
+    )
+    sched = TaskSchedule.build(4, 2, 2, seed=8)
+    runner = IncrementalRunner(sched, _tiny_config(budget=PerClass(10)), ds, seed=8)
+    runner.run_next_task()
+    assert calls == []  # no teacher on the first task
+    pool = runner.memory.total_stored() + sum(
+        ds.train_indices_of(c).size for c in sched.task_classes(1)
+    )
+    runner.run_next_task()
+    assert pool > 64  # more than one chunk, and more than one batch per epoch
+    assert len(calls) == -(-pool // 64)
+    assert sum(calls) == pool
 
 
 def test_balanced_finetune_flag_recorded_and_runs():
