@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import require_fields
 from .errors import ContractError, FormatError, ShapeError
 from .tensor import Tensor, add, conv2d, matmul, relu, tmean
 
@@ -138,9 +139,6 @@ class Backbone:
         embedding = add(matmul(pooled, self.params["head.weight"]), self.params["head.bias"])
         return StageOutputs(stage_maps=maps, embedding=embedding)
 
-    def embed(self, batch: Tensor) -> Tensor:
-        return self.forward_with_stages(batch).embedding
-
     def clone_frozen(self) -> "Backbone":
         """Deep copy with gradient tracking disabled on every parameter."""
         return Backbone.from_params(
@@ -179,12 +177,15 @@ class Backbone:
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "Backbone":
-        if state.get("version") != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {state.get('version')}")
+    def from_state(cls, state: dict, where: str = "backbone") -> "Backbone":
+        require_fields(state, where, ("version", "config", "params"))
+        if state["version"] != CHECKPOINT_VERSION:
+            raise FormatError(f"unsupported checkpoint version {state['version']}")
+        require_fields(state["config"], f"{where}.config",
+                       ("input_shape", "stages", "embedding_dim"))
+        values = {}
+        for name, p in state["params"].items():
+            require_fields(p, f"{where}.params.{name}", ("shape", "values"))
+            values[name] = np.asarray(p["values"], dtype=np.float64).reshape(p["shape"])
         config = BackboneConfig.from_dict(state["config"])
-        values = {
-            name: np.asarray(p["values"], dtype=np.float64).reshape(p["shape"])
-            for name, p in state["params"].items()
-        }
         return cls.from_params(config, values)

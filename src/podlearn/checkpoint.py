@@ -39,6 +39,16 @@ def load_json(path: str) -> dict:
         return json.load(fh)
 
 
+def require_fields(state, where: str, names) -> None:
+    """``FormatError`` naming ``where`` or ``where.<name>`` unless ``state`` is an object
+    holding every one of ``names``."""
+    if not isinstance(state, dict):
+        raise FormatError(f"checkpoint field {where} is not an object")
+    for name in names:
+        if name not in state:
+            raise FormatError(f"checkpoint field {where}.{name} is missing")
+
+
 def save_run_checkpoint(path: str, config_echo: dict, runner_state: dict) -> None:
     save_json(path, {
         "version": RUN_CHECKPOINT_VERSION,

@@ -196,10 +196,9 @@ def load_dataset(path: str) -> Dataset:
     """Read a :func:`save_dataset` archive, checking every array it holds.
 
     Raises ``FormatError`` naming the path and the field when the file is not
-    a readable npz archive, an array is missing, the inputs are not (N, C, W, H)
-    numbers, the labels are not non-negative integers of shape (N,), or a
-    split's inputs and labels differ in row count. A missing file raises
-    ``OSError``.
+    a readable npz archive, an array is missing, the inputs are not finite
+    (N, C, W, H) numbers, the labels are not non-negative integers of shape
+    (N,), or a split's rows disagree. A missing file raises ``OSError``.
     """
     names = ("train_x", "train_y", "test_x", "test_y")
     try:
@@ -218,6 +217,8 @@ def load_dataset(path: str) -> Dataset:
         if x.ndim != 4 or x.dtype.kind not in "iuf":
             raise FormatError(f"{path}: field {split}_x must be (N, C, W, H) numbers, "
                               f"got {x.dtype} of shape {x.shape}")
+        if not np.isfinite(x).all():
+            raise FormatError(f"{path}: field {split}_x holds non-finite values")
         if y.ndim != 1 or y.dtype.kind not in "iu":
             raise FormatError(f"{path}: field {split}_y must be (N,) integer labels, "
                               f"got {y.dtype} of shape {y.shape}")

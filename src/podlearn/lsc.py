@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checkpoint import require_fields
 from .errors import ContractError, NumericError
 from .tensor import Tensor, _make, unit_vectors, unit_vectors_vjp
 
@@ -86,7 +87,9 @@ class ProxyBank:
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "ProxyBank":
+    def from_state(cls, state: dict, where: str = "bank") -> "ProxyBank":
+        require_fields(state, where, ("dim", "proxies_per_class", "delta", "eta",
+                                      "eta_floor", "theta"))
         bank = cls(state["dim"], state["proxies_per_class"], state["delta"], state["eta_floor"])
         bank.eta.data = np.asarray(float(state["eta"]))
         for proxies in state["theta"]:

@@ -4,6 +4,9 @@ Exemplar lists are kept in herding order, so shrinking a class's allocation
 is a prefix truncation and the greedy selection never has to be redone.
 Budgets come in two flavors: a fixed cap per old class, or one shared total
 split evenly across classes (remainder to the earliest-added classes).
+No class ever holds more than the budget's ``m``, and greedy picks do not
+depend on how far herding runs, so a new class is herded only ``m`` deep.
+Class means embed every stored exemplar in one call.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import require_fields
 from .errors import ContractError, NumericError
 
 _NORM_EPS = 1e-8
@@ -86,45 +90,39 @@ class ExemplarMemory:
         self.budget = budget
         self.per_class: dict[int, list[int]] = {}
 
-    @property
-    def class_ids(self) -> list[int]:
-        return list(self.per_class)
-
     def total_stored(self) -> int:
         return sum(len(v) for v in self.per_class.values())
 
     def add_class(self, class_id: int, herding_order: list[int]) -> None:
-        """Register a new class's full herding order, then re-apply budgets."""
+        """Register a new class's herding order, then cut every class list to
+        its current allocation (a prefix cut)."""
         if class_id in self.per_class:
             raise ContractError(f"class {class_id} already stored")
         self.per_class[class_id] = [int(i) for i in herding_order]
-        self.rebuild()
-
-    def rebuild(self) -> None:
-        """Truncate every class list to its current allocation (prefix cut)."""
-        if not self.per_class:
-            return
-        alloc = _allocation(self.budget, self.class_ids)
+        alloc = _allocation(self.budget, list(self.per_class))
         for c, order in self.per_class.items():
             self.per_class[c] = order[: alloc[c]]
 
     def class_means(self, embed_fn) -> dict[int, np.ndarray]:
         """Unit-norm mean of unit-norm exemplar embeddings, per class.
 
-        ``embed_fn(indices)`` must return raw (n, D) embeddings computed with
+        ``embed_fn(indices)`` is called once, with every stored index class
+        by class, and must return their raw (n, D) embeddings computed with
         the current model; means therefore track representation drift.
         A zero mean (e.g. antipodal exemplars) is a numeric fault, not a
         silent zero vector.
         """
+        stored = list(self.per_class.values())
+        flat = np.array([i for v in stored for i in v], dtype=np.int64)
+        emb = np.asarray(embed_fn(flat), dtype=np.float64)
         means: dict[int, np.ndarray] = {}
-        for c, indices in self.per_class.items():
-            if not indices:
+        for c, rows in zip(self.per_class, np.split(emb, np.cumsum([len(v) for v in stored]))):
+            if not rows.size:
                 raise ContractError(f"class {c} has no exemplars")
-            emb = np.asarray(embed_fn(indices), dtype=np.float64)
-            norms = np.linalg.norm(emb, axis=1, keepdims=True)
+            norms = np.linalg.norm(rows, axis=1, keepdims=True)
             if norms.min() <= _NORM_EPS:
                 raise NumericError(f"class {c}: zero-norm exemplar embedding")
-            mean = (emb / norms).mean(axis=0)
+            mean = (rows / norms).mean(axis=0)
             mnorm = np.linalg.norm(mean)
             if mnorm <= _NORM_EPS:
                 raise NumericError(f"class {c}: exemplar mean is (near-)zero")
@@ -139,8 +137,10 @@ class ExemplarMemory:
         }
 
     @classmethod
-    def from_state(cls, state: dict) -> "ExemplarMemory":
+    def from_state(cls, state: dict, where: str = "memory") -> "ExemplarMemory":
+        require_fields(state, where, ("budget", "per_class"))
         b = state["budget"]
+        require_fields(b, f"{where}.budget", ("kind", "m"))
         budget = PerClass(b["m"]) if b["kind"] == "per_class" else Total(b["m"])
         mem = cls(budget)
         for c, indices in state["per_class"].items():

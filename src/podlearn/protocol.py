@@ -4,7 +4,7 @@ One run walks a task schedule: snapshot the previous model as a frozen
 teacher, imprint proxies for the new classes, train on new data plus
 rehearsal exemplars with the combined classification + distillation loss,
 refresh the exemplar memory by herding, then evaluate on everything seen so
-far with both inference modes.
+far with both inference modes from one embedding of the test set.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ import numpy as np
 
 from .backbone import Backbone, BackboneConfig
 from .datasets import Dataset
-from .errors import ContractError, FormatError
+from .checkpoint import require_fields
+from .errors import ContractError
 from .lsc import (
     ProxyBank,
     cross_entropy_loss,
@@ -26,7 +27,7 @@ from .lsc import (
 )
 from .memory import Budget, ExemplarMemory, PerClass, herd_select
 from .pod import PodConfig, PodMode, PodTargets, pod_final, pod_targets
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, no_grad, unit_vectors
 
 
 @dataclass(frozen=True)
@@ -207,60 +208,41 @@ def _teacher_targets(teacher: Backbone, x: np.ndarray, mode: PodMode) -> PodTarg
     return targets
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    return x / np.where(norms > 1e-12, norms, 1.0)
-
-
 def evaluate(
     model: Backbone,
     bank: ProxyBank,
     memory: ExemplarMemory,
     test_x: np.ndarray,
     test_y: np.ndarray,
-    mode: str,
-    train_x: np.ndarray | None = None,
-) -> float:
-    """Accuracy over the cumulative test set with NME or classifier inference.
+    train_x: np.ndarray,
+) -> tuple[float, float]:
+    """NME and CNN accuracy over the cumulative test set, from one embedding.
 
     NME predicts the nearest (cosine) class mean of stored exemplars,
     recomputed with the current model from ``train_x``; CNN predicts the
     argmax of the classifier scores.
     """
-    if mode not in ("nme", "cnn"):
-        raise ContractError(f"unknown inference mode {mode!r}")
     test_y = np.asarray(test_y)
     if test_y.size == 0:
         raise ContractError("empty test set")
     if test_y.max() >= bank.num_classes or test_y.min() < 0:
         raise ContractError("test labels refer to unseen classes")
+    means = memory.class_means(lambda idx: _embed_all(model, train_x[idx]))
+    if sorted(means) != list(range(bank.num_classes)):
+        raise ContractError("memory does not cover every seen class")
 
     emb = _embed_all(model, test_x)
-    if mode == "nme":
-        if train_x is None:
-            raise ContractError("NME evaluation needs train_x for exemplar means")
-        means = memory.class_means(lambda idx: _embed_all(model, train_x[np.asarray(idx)]))
-        if sorted(means) != list(range(bank.num_classes)):
-            raise ContractError("memory does not cover every seen class")
-        mean_mat = np.stack([means[c] for c in range(bank.num_classes)])
-        scores = _normalize_rows(emb) @ mean_mat.T
-        preds = scores.argmax(axis=1)
-    else:
-        # score in row chunks whose (rows, C*K) similarity block stays near
-        # _SCORE_BLOCK doubles, so the transient does not grow with the classes
-        step = max(1, _SCORE_BLOCK // (bank.num_classes * bank.K))
-        preds_chunks = []
-        with no_grad():
-            for i in range(0, emb.shape[0], step):
-                scores = lsc_scores(Tensor(emb[i : i + step]), bank)
-                preds_chunks.append(scores.data.argmax(axis=1))
-        preds = np.concatenate(preds_chunks)
-    return float((preds == test_y).mean())
-
-
-# top-level keys of IncrementalRunner.to_state
-_STATE_FIELDS = ("task_cursor", "seed", "class_map", "backbone", "bank", "memory", "rng",
-                 "metrics")
+    mean_mat = np.stack([means[c] for c in range(bank.num_classes)])
+    nme_preds = (unit_vectors(emb)[0] @ mean_mat.T).argmax(axis=1)
+    # score in row chunks whose (rows, C*K) similarity block stays near
+    # _SCORE_BLOCK doubles, so the transient does not grow with the classes
+    step = max(1, _SCORE_BLOCK // (bank.num_classes * bank.K))
+    with no_grad():
+        cnn_preds = np.concatenate([
+            lsc_scores(Tensor(emb[i : i + step]), bank).data.argmax(axis=1)
+            for i in range(0, emb.shape[0], step)
+        ])
+    return float((nme_preds == test_y).mean()), float((cnn_preds == test_y).mean())
 
 
 class IncrementalRunner:
@@ -302,13 +284,15 @@ class IncrementalRunner:
         return self.task_cursor >= self.schedule.num_tasks
 
     def _dense_labels(self, original: np.ndarray) -> np.ndarray:
-        lookup = {c: i for i, c in enumerate(self.class_map)}
-        return np.asarray([lookup[int(c)] for c in original], dtype=np.int64)
+        table = np.full(max(self.class_map) + 1, -1, dtype=np.int64)
+        table[self.class_map] = np.arange(len(self.class_map))
+        return table[original]
 
-    def _class_embeddings(self, class_id: int) -> tuple[np.ndarray, np.ndarray]:
-        idx = self.dataset.train_indices_of(class_id)
-        emb = _embed_all(self.backbone, self.dataset.train_x[idx])
-        return idx, _normalize_rows(emb)
+    def _class_embeddings(self, class_ids: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Train indices and unit embeddings of each class, from one forward."""
+        parts = [self.dataset.train_indices_of(c) for c in class_ids]
+        emb = _embed_all(self.backbone, self.dataset.train_x[np.concatenate(parts)])
+        return list(zip(parts, np.split(unit_vectors(emb)[0], np.cumsum([p.size for p in parts]))))
 
     def run_next_task(self) -> dict:
         if self.done:
@@ -321,7 +305,7 @@ class IncrementalRunner:
             teacher = self.backbone.clone_frozen() if distil else None
 
             # imprint proxies for the incoming classes
-            feats = [self._class_embeddings(c)[1] for c in new_classes]
+            feats = [emb for _, emb in self._class_embeddings(new_classes)]
             for c, proxies in zip(new_classes, imprint_new_classes(feats, self.bank.K, self.rng)):
                 self.bank.add_class(proxies)
                 self.class_map.append(c)
@@ -330,22 +314,19 @@ class IncrementalRunner:
             lam = adaptive_scale(seen, len(new_classes))
             self._train_task(new_classes, teacher, lam)
 
-            # herd the new classes, then re-apply budgets everywhere
-            for c in new_classes:
-                idx, emb = self._class_embeddings(c)
-                order = herd_select(emb, len(idx))
-                self.memory.add_class(self.class_map.index(c), [int(idx[i]) for i in order])
-            self.memory.rebuild()
+            # herd the new classes as far as any budget can keep: no class ever
+            # holds more than budget.m, and greedy picks do not depend on how
+            # far herding runs; add_class re-applies the budgets everywhere
+            for c, (idx, emb) in zip(new_classes, self._class_embeddings(new_classes)):
+                order = herd_select(emb, min(idx.size, cfg.budget.m))
+                self.memory.add_class(self.class_map.index(c), idx[order].tolist())
 
             if cfg.balanced_finetune and t > 0:
                 self._balanced_finetune()
 
             test_x, test_y = self._seen_test_set()
-            nme = evaluate(
-                self.backbone, self.bank, self.memory, test_x, test_y, "nme",
-                train_x=self.dataset.train_x,
-            )
-            cnn = evaluate(self.backbone, self.bank, self.memory, test_x, test_y, "cnn")
+            nme, cnn = evaluate(self.backbone, self.bank, self.memory, test_x, test_y,
+                                self.dataset.train_x)
         except Exception as err:
             err.args = (f"task {t}: {err}",)
             raise
@@ -363,11 +344,9 @@ class IncrementalRunner:
 
     def _task_train_pool(self, new_classes: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """Indices and dense labels of the task's data: new classes + rehearsal."""
+        # the memory holds old classes only: new ones are herded after training
         parts = [self.dataset.train_indices_of(c) for c in new_classes]
-        new_dense = {self.class_map.index(c) for c in new_classes}
-        for dense_id, stored in self.memory.per_class.items():
-            if dense_id not in new_dense:
-                parts.append(np.asarray(stored, dtype=np.int64))
+        parts += [np.asarray(stored, dtype=np.int64) for stored in self.memory.per_class.values()]
         indices = np.concatenate(parts)
         labels = self._dense_labels(self.dataset.train_y[indices])
         return indices, labels
@@ -427,11 +406,11 @@ class IncrementalRunner:
             [np.asarray(v, dtype=np.int64) for v in self.memory.per_class.values()]
         )
         labels = self._dense_labels(self.dataset.train_y[indices])
+        # the backbone is frozen here: embed the memory once
+        emb = _embed_all(self.backbone, self.dataset.train_x[indices])
 
         def batch_loss(sel):
-            with no_grad():
-                emb = self.backbone.embed(Tensor(self.dataset.train_x[indices[sel]]))
-            return self._classifier_loss(lsc_scores(emb, self.bank), labels[sel])
+            return self._classifier_loss(lsc_scores(Tensor(emb[sel]), self.bank), labels[sel])
 
         self._sgd_epochs(self.bank.parameters(), cfg.finetune_lr, cfg.finetune_epochs,
                          indices.size, batch_loss)
@@ -463,17 +442,18 @@ class IncrementalRunner:
     def from_state(
         cls, schedule: TaskSchedule, config: RunConfig, dataset: Dataset, state: dict
     ) -> "IncrementalRunner":
-        for name in _STATE_FIELDS:
-            if name not in state:
-                raise FormatError(f"checkpoint field runner.{name} is missing")
+        require_fields(state, "runner", ("task_cursor", "seed", "class_map", "backbone", "bank",
+                                         "memory", "rng", "metrics"))
         runner = cls(schedule, config, dataset, state["seed"])
         runner.task_cursor = state["task_cursor"]
         runner.class_map = [int(c) for c in state["class_map"]]
-        runner.backbone = Backbone.from_state(state["backbone"])
-        runner.bank = ProxyBank.from_state(state["bank"])
-        runner.memory = ExemplarMemory.from_state(state["memory"])
+        runner.backbone = Backbone.from_state(state["backbone"], "runner.backbone")
+        runner.bank = ProxyBank.from_state(state["bank"], "runner.bank")
+        runner.memory = ExemplarMemory.from_state(state["memory"], "runner.memory")
         runner.rng.bit_generator.state = state["rng"]
         m = state["metrics"]
+        require_fields(m, "runner.metrics", ("nme_accuracy", "cnn_accuracy", "seen_classes",
+                                             "metadata"))
         runner.metrics = RunMetrics(
             list(m["nme_accuracy"]),
             list(m["cnn_accuracy"]),

@@ -89,7 +89,7 @@ def test_gradients_through_whole_training_graph_into_conv_weight():
 
     point = Tensor(student.params[name].data.copy())
     composite(point)
-    scores = lsc_scores(student.embed(x), bank).data
+    scores = lsc_scores(student.forward_with_stages(x).embedding, bank).data
     for i in range(labels.size):  # every sample away from the hinge kink
         row = Tensor(scores[i : i + 1])
         assert nca_hinge_loss(row, labels[i : i + 1], 2.0, 0.4).item() > 0.05
@@ -189,6 +189,19 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     state["version"] = 99
     with pytest.raises(FormatError):
         Backbone.from_state(state)
+
+
+def test_checkpoint_names_a_missing_nested_field():
+    state = json.loads(json.dumps(_default().state()))
+    del state["params"]["head.bias"]["values"]
+    with pytest.raises(FormatError) as exc:
+        Backbone.from_state(state)
+    assert "backbone.params.head.bias.values" in str(exc.value)
+    state = _default().state()
+    del state["config"]
+    with pytest.raises(FormatError) as exc:
+        Backbone.from_state(state, "runner.backbone")
+    assert "runner.backbone.config" in str(exc.value)
 
 
 def test_from_params_validates_names_and_shapes():

@@ -231,6 +231,17 @@ def test_resume_checkpoint_missing_field_exits_one(tmp_path, capsys):
     assert err.startswith("config error: ") and "runner.bank" in err
 
 
+def test_resume_checkpoint_missing_nested_field_exits_one(tmp_path, capsys):
+    cfg_path, out = _checkpointed_out_dir(tmp_path)
+    ckpt = out / "checkpoint.json"
+    blob = json.loads(ckpt.read_text())
+    del blob["runner"]["bank"]["theta"]
+    ckpt.write_text(json.dumps(blob))
+    assert main(["run", cfg_path, "--output", str(out), "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "runner.bank.theta" in err
+
+
 # -- generate / summarize --------------------------------------------------------------
 
 
@@ -260,6 +271,24 @@ def test_run_from_generated_npz(tmp_path):
     cfg_path = _write(tmp_path, cfg_text)
     out = str(tmp_path / "out")
     assert main(["run", cfg_path, "--output", out]) == 0
+
+
+def test_run_from_npz_with_nan_input_exits_one(tmp_path, capsys):
+    spec_path = _write(
+        tmp_path,
+        "classes = 4\nsamples_per_class = 20\nchannels = 2\nwidth = 6\nheight = 6",
+        "spec.cfg",
+    )
+    npz = str(tmp_path / "data.npz")
+    assert main(["generate", spec_path, npz]) == 0
+    with np.load(npz) as archive:
+        arrays = dict(archive)
+    arrays["train_x"][3, 0, 1, 1] = np.nan
+    np.savez(npz, **arrays)
+    cfg_path = _write(tmp_path, TINY_CONFIG + f"\ndataset = npz:{npz}\n")
+    assert main(["run", cfg_path, "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "train_x" in err
 
 
 def test_summarize_merges_runs(tmp_path, capsys):

@@ -132,6 +132,17 @@ def test_npz_negative_labels_rejected(tmp_path):
     assert path in str(exc.value) and "test_y" in str(exc.value)
 
 
+def test_npz_non_finite_inputs_rejected(tmp_path):
+    ds = generate_synthetic_dataset(SyntheticSpec(classes=2, samples_per_class=10), seed=1)
+    for field, bad in (("train_x", np.nan), ("test_x", np.inf)):
+        x = getattr(ds, field).copy()
+        x[1, 0, 2, 3] = bad
+        path = _saved_arrays(tmp_path, **{field: x})
+        with pytest.raises(FormatError) as exc:
+            load_dataset(path)
+        assert path in str(exc.value) and field in str(exc.value)
+
+
 # -- CIFAR binary ingestion ---------------------------------------------------------
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from podlearn.errors import ContractError, NumericError
+from podlearn.errors import ContractError, FormatError, NumericError
 from podlearn.gradcheck import gradient_check
 from podlearn.lsc import (
     ProxyBank,
@@ -390,6 +390,14 @@ def test_bank_state_roundtrip():
     assert clone.delta == 0.4
     npt.assert_array_equal(clone.theta.data, np.stack(theta))
     assert clone.state() == state
+
+
+def test_bank_from_state_names_a_missing_field():
+    state = _bank([np.ones((3, 4))]).state()
+    del state["theta"]
+    with pytest.raises(FormatError) as exc:
+        ProxyBank.from_state(state, "runner.bank")
+    assert "runner.bank.theta" in str(exc.value)
 
 
 def test_bank_from_state_rejects_malformed_theta():

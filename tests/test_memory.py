@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from podlearn.errors import ContractError, NumericError
+from podlearn.errors import ContractError, FormatError, NumericError
 from podlearn.memory import ExemplarMemory, PerClass, Total, herd_select
 
 from oracles import class_mean_oracle, herd_order_oracle
@@ -156,6 +156,25 @@ def test_means_match_scalar_oracle():
     npt.assert_allclose(means[0], class_mean_oracle(vecs.tolist()), atol=1e-12)
 
 
+def test_class_means_embed_every_exemplar_in_one_call():
+    rng = np.random.default_rng(6)
+    vecs = rng.normal(size=(12, 4))
+    mem = ExemplarMemory(PerClass(3))
+    mem.add_class(0, [4, 1, 7])
+    mem.add_class(1, [0, 2])
+    mem.add_class(2, [11, 9, 3])
+    calls = []
+
+    def embed(idx):
+        calls.append([int(i) for i in idx])
+        return vecs[idx]
+
+    means = mem.class_means(embed)
+    assert calls == [[4, 1, 7, 0, 2, 11, 9, 3]]
+    for c, stored in mem.per_class.items():
+        npt.assert_allclose(means[c], class_mean_oracle(vecs[stored].tolist()), atol=1e-12)
+
+
 def test_empty_class_rejected_in_means():
     mem = ExemplarMemory(Total(3))
     for c in range(4):  # 4 classes, budget 3: someone ends up empty
@@ -171,6 +190,16 @@ def test_memory_state_roundtrip():
     clone = ExemplarMemory.from_state(mem.state())
     assert clone.per_class == mem.per_class
     assert isinstance(clone.budget, Total) and clone.budget.m == 10
+
+
+def test_memory_from_state_names_a_missing_field():
+    mem = ExemplarMemory(Total(10))
+    mem.add_class(0, [5, 2, 9])
+    state = mem.state()
+    del state["budget"]["m"]
+    with pytest.raises(FormatError) as exc:
+        ExemplarMemory.from_state(state, "runner.memory")
+    assert "runner.memory.budget.m" in str(exc.value)
 
 
 def test_determinism_same_features_same_memory():

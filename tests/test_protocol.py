@@ -6,7 +6,7 @@ from podlearn.backbone import Backbone, BackboneConfig
 from podlearn.datasets import SyntheticSpec, generate_synthetic_dataset
 from podlearn.errors import ContractError
 from podlearn.lsc import ProxyBank
-from podlearn.memory import ExemplarMemory, PerClass, Total
+from podlearn.memory import ExemplarMemory, PerClass, Total, herd_select
 from podlearn.pod import PodConfig, pod_final, pod_targets
 from podlearn.protocol import (
     SGD,
@@ -128,14 +128,20 @@ def test_evaluate_cnn_one_hot_proxies():
     # run the model, read its embedding, then plant that embedding as a proxy
     x = np.random.default_rng(0).normal(size=(2, 3, 2, 2))
     with no_grad():
-        emb = model.embed(Tensor(x)).data
+        emb = model.forward_with_stages(Tensor(x)).embedding.data
     bank = ProxyBank(3, 1)
     for i in range(2):
         bank.add_class(emb[i : i + 1])
     bank.add_class(np.ones((1, 3)))
+    # one exemplar per class: the two test points themselves plus one more,
+    # so each test point is also its own class mean
+    train_x = np.concatenate([x, np.random.default_rng(1).normal(size=(1, 3, 2, 2))])
     mem = ExemplarMemory(PerClass(2))
-    acc = evaluate(model, bank, mem, x, np.array([0, 1]), "cnn")
-    assert acc == 1.0
+    for c in range(3):
+        mem.add_class(c, [c])
+    nme, cnn = evaluate(model, bank, mem, x, np.array([0, 1]), train_x)
+    assert cnn == 1.0
+    assert nme == 1.0
 
 
 def test_evaluate_nme_exact_means():
@@ -151,8 +157,8 @@ def test_evaluate_nme_exact_means():
         bank.add_class(rng.normal(size=(2, 8)))
         mem.add_class(c, [int(ds.train_indices_of(c)[0])])
     test_x = ds.train_x[[mem.per_class[c][0] for c in range(3)]]
-    acc = evaluate(model, bank, mem, test_x, np.arange(3), "nme", train_x=ds.train_x)
-    assert acc == 1.0
+    nme, _ = evaluate(model, bank, mem, test_x, np.arange(3), ds.train_x)
+    assert nme == 1.0
 
 
 def test_evaluate_nme_hand_oracle_four_points():
@@ -162,7 +168,7 @@ def test_evaluate_nme_hand_oracle_four_points():
     model = Backbone(cfg, seed=3)
     train_x = np.random.default_rng(4).normal(size=(4, 1, 2, 2))
     with no_grad():
-        emb = model.embed(Tensor(train_x)).data
+        emb = model.forward_with_stages(Tensor(train_x)).embedding.data
     emb_n = emb / np.linalg.norm(emb, axis=1, keepdims=True)
     means = {
         0: (emb_n[0] + emb_n[1]),
@@ -183,9 +189,8 @@ def test_evaluate_nme_hand_oracle_four_points():
         d0 = e @ means[0]
         d1 = e @ means[1]
         expected.append(0 if d0 >= d1 else 1)
-    acc = evaluate(model, bank, mem, test_x, np.array(expected), "nme",
-                   train_x=train_x)
-    assert acc == 1.0
+    nme, _ = evaluate(model, bank, mem, test_x, np.array(expected), train_x)
+    assert nme == 1.0
 
 
 def test_evaluate_rejects_unseen_labels():
@@ -196,18 +201,31 @@ def test_evaluate_rejects_unseen_labels():
     bank.add_class(np.random.default_rng(0).normal(size=(2, 8)))
     mem = ExemplarMemory(PerClass(3))
     with pytest.raises(ContractError):
-        evaluate(model, bank, mem, ds.test_x[:4], np.array([0, 0, 1, 1]), "cnn")
+        evaluate(model, bank, mem, ds.test_x[:4], np.array([0, 0, 1, 1]), ds.train_x)
 
 
-def test_evaluate_unknown_mode_rejected():
+def test_evaluate_embeds_the_test_set_once(monkeypatch):
+    # one forward pass over the test rows serves both NME and CNN
+    import podlearn.protocol as protocol
+
     ds = _tiny_dataset()
-    cfg = _tiny_config()
-    model = Backbone(cfg.backbone, seed=1)
+    model = Backbone(_tiny_config().backbone, seed=1)
     bank = ProxyBank(8, 2)
-    bank.add_class(np.random.default_rng(0).normal(size=(2, 8)))
-    with pytest.raises(ContractError):
-        evaluate(model, bank, ExemplarMemory(PerClass(3)), ds.test_x[:2],
-                 np.array([0, 0]), "knn")
+    mem = ExemplarMemory(PerClass(2))
+    rng = np.random.default_rng(3)
+    for c in range(2):
+        bank.add_class(rng.normal(size=(2, 8)))
+        mem.add_class(c, [int(i) for i in ds.train_indices_of(c)[:2]])
+    test_x, test_y = ds.test_x[:6], np.array([0, 1, 0, 1, 0, 1])
+    sizes = []
+
+    def counting(m, x, batch=64):
+        sizes.append(x.shape[0])
+        return _embed_all(m, x, batch)
+
+    monkeypatch.setattr(protocol, "_embed_all", counting)
+    evaluate(model, bank, mem, test_x, test_y, ds.train_x)
+    assert sizes == [4, 6]  # the four exemplars, then the six test rows
 
 
 # -- full runs ------------------------------------------------------------------
@@ -371,6 +389,71 @@ def test_balanced_finetune_moves_only_the_classifier(monkeypatch):
     for name, p in runner.backbone.params.items():
         assert np.array_equal(p.data, before[name]), name
     assert not np.array_equal(runner.bank.theta.data, theta)
+
+
+def test_balanced_finetune_embeds_the_memory_once(monkeypatch):
+    # the backbone is frozen during the finetune: one chunked forward over
+    # the memory, none per batch or epoch
+    calls = []
+    finetune = IncrementalRunner._balanced_finetune
+
+    def spy(runner):
+        forward = runner.backbone.forward_with_stages
+
+        def counting(batch):
+            calls.append(batch.shape[0])
+            return forward(batch)
+
+        runner.backbone.forward_with_stages = counting
+        finetune(runner)
+        del runner.backbone.forward_with_stages
+
+    monkeypatch.setattr(IncrementalRunner, "_balanced_finetune", spy)
+    ds = _tiny_dataset()
+    sched = TaskSchedule.build(4, 2, 2, seed=4)
+    run_schedule(sched, _tiny_config(balanced_finetune=True, finetune_epochs=3), ds, seed=4)
+    assert calls == [12]  # 4 classes x PerClass(3), in one chunk
+
+
+@pytest.mark.parametrize("budget, kept", [
+    (PerClass(3), [3, 3, 3, 3, 3]),
+    (Total(11), [3, 2, 2, 2, 2]),  # 11 -> 5 + 6 -> ... -> 3 + 2 + 2 + 2 + 2
+])
+def test_memory_is_the_prefix_of_the_full_herding_order(monkeypatch, budget, kept):
+    # herding stops at budget.m; its greedy picks make that the same memory as
+    # herding every row and cutting the order to the class's allocation
+    import podlearn.protocol as protocol
+
+    full_orders = []
+
+    def spy(features, m):
+        assert m == min(features.shape[0], budget.m)
+        full_orders.append(herd_select(features, features.shape[0]))
+        return herd_select(features, m)
+
+    monkeypatch.setattr(protocol, "herd_select", spy)
+    ds = _tiny_dataset(classes=5)
+    sched = TaskSchedule.build(5, 2, 1, seed=0)
+    runner = IncrementalRunner(sched, _tiny_config(budget=budget), ds, seed=0)
+    while not runner.done:
+        runner.run_next_task()
+    herded = [c for t in range(sched.num_tasks) for c in sched.task_classes(t)]
+    assert len(full_orders) == len(herded)
+    for c, full in zip(herded, full_orders):
+        dense = runner.class_map.index(c)
+        idx = ds.train_indices_of(c)
+        assert runner.memory.per_class[dense] == [int(idx[i]) for i in full[: kept[dense]]]
+
+
+def test_dense_labels_match_a_dict_lookup():
+    runner = IncrementalRunner(TaskSchedule.build(4, 2, 2, seed=0), _tiny_config(),
+                               _tiny_dataset(), seed=0)
+    runner.class_map = [3, 0, 2]
+    original = np.array([2, 3, 3, 0, 2, 0])
+    lookup = {c: i for i, c in enumerate(runner.class_map)}
+    dense = runner._dense_labels(original)
+    assert dense.dtype == np.int64
+    assert dense.tolist() == [lookup[c] for c in original.tolist()]
 
 
 def test_ce_classifier_loss_variant_runs():
