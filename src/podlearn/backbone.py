@@ -14,11 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import require_fields
-from .errors import ContractError, FormatError, ShapeError
+from .errors import ContractError, ShapeError
 from .tensor import Tensor, add, conv2d, matmul, relu, tmean
-
-CHECKPOINT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -53,21 +50,6 @@ class BackboneConfig:
                 h = (h - 1) // 2 + 1
             shapes.append((filters, w, h))
         return shapes
-
-    def to_dict(self) -> dict:
-        return {
-            "input_shape": list(self.input_shape),
-            "stages": [list(s) for s in self.stages],
-            "embedding_dim": self.embedding_dim,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BackboneConfig":
-        return cls(
-            tuple(d["input_shape"]),
-            tuple(tuple(s) for s in d["stages"]),
-            d["embedding_dim"],
-        )
 
 
 @dataclass
@@ -163,29 +145,3 @@ class Backbone:
                 )
             model.params[name] = Tensor(arr.copy(), requires_grad=requires_grad)
         return model
-
-    # -- checkpoint state (named parameter tensors, bit-exact JSON round trip)
-
-    def state(self) -> dict:
-        return {
-            "version": CHECKPOINT_VERSION,
-            "config": self.config.to_dict(),
-            "params": {
-                name: {"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
-                for name, t in self.params.items()
-            },
-        }
-
-    @classmethod
-    def from_state(cls, state: dict, where: str = "backbone") -> "Backbone":
-        require_fields(state, where, ("version", "config", "params"))
-        if state["version"] != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {state['version']}")
-        require_fields(state["config"], f"{where}.config",
-                       ("input_shape", "stages", "embedding_dim"))
-        values = {}
-        for name, p in state["params"].items():
-            require_fields(p, f"{where}.params.{name}", ("shape", "values"))
-            values[name] = np.asarray(p["values"], dtype=np.float64).reshape(p["shape"])
-        config = BackboneConfig.from_dict(state["config"])
-        return cls.from_params(config, values)

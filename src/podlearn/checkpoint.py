@@ -10,6 +10,8 @@ import json
 import os
 from typing import Iterable
 
+import numpy as np
+
 from .errors import FormatError
 
 RUN_CHECKPOINT_VERSION = 1
@@ -47,6 +49,21 @@ def require_fields(state, where: str, names) -> None:
     for name in names:
         if name not in state:
             raise FormatError(f"checkpoint field {where}.{name} is missing")
+
+
+def stored_array(value, where: str, integer: bool = False) -> np.ndarray:
+    """``value`` as a float64 (or, when ``integer``, int64) array; ``FormatError``
+    naming ``where`` unless it is a rectangular array of finite numbers of that
+    type. An empty list passes as an empty array."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise FormatError(f"checkpoint field {where} is not a rectangular array")
+    kind = "integers" if integer else "numbers"
+    if arr.size and (arr.dtype.kind not in ("iu" if integer else "iuf")
+                     or not np.isfinite(arr).all()):
+        raise FormatError(f"checkpoint field {where} holds entries that are not finite {kind}")
+    return arr.astype(np.int64 if integer else np.float64)
 
 
 def save_run_checkpoint(path: str, config_echo: dict, runner_state: dict) -> None:

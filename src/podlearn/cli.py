@@ -1,10 +1,10 @@
 """Experiment front door: run a config, generate datasets, merge summaries.
 
 Exit codes: 0 success, 1 configuration error (a bad config, or a bad input
-file such as a dataset or a checkpoint), 2 runtime failure. After every task
-a run atomically rewrites ``metrics.csv`` (one row per finished task) and a
-resumable ``checkpoint.json``; at the end it writes ``summary.json`` plus
-``plot_data.csv``.
+file such as a dataset, a checkpoint or a summary), 2 runtime failure. After
+every task a run atomically rewrites ``metrics.csv`` (one row per finished
+task) and a resumable ``checkpoint.json`` (the config echo plus the learned
+state); at the end it writes ``summary.json`` plus ``plot_data.csv``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ def _write_outputs(out_dir: str, cfg: ExperimentConfig, runner: IncrementalRunne
         "seed": cfg.seed,
         "tasks": len(m.nme_accuracy),
         "avg_incremental_accuracy": {"nme": m.avg_nme, "cnn": m.avg_cnn},
-        "metadata": m.metadata,
         "wall_time_seconds": wall_time,
     }
     write_text_atomic(os.path.join(out_dir, "summary.json"),
@@ -133,12 +132,17 @@ def cmd_summarize(args) -> int:
         except (OSError, json.JSONDecodeError) as err:
             print(f"config error: {path}: {err}", file=sys.stderr)
             return 1
+        avg = s.get("avg_incremental_accuracy") if isinstance(s, dict) else None
+        if not (isinstance(avg, dict) and "nme" in avg and "cnn" in avg):
+            print(f"config error: {path}: not a run summary (no avg_incremental_accuracy "
+                  f"with nme and cnn)", file=sys.stderr)
+            return 1
         rows.append({
             "directory": d,
             "seed": s.get("seed"),
             "tasks": s.get("tasks"),
-            "avg_nme": s["avg_incremental_accuracy"]["nme"],
-            "avg_cnn": s["avg_incremental_accuracy"]["cnn"],
+            "avg_nme": avg["nme"],
+            "avg_cnn": avg["cnn"],
             "wall_time_seconds": s.get("wall_time_seconds"),
         })
     out = open(args.out, "w", newline="") if args.out else sys.stdout

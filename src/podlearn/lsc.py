@@ -17,11 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checkpoint import require_fields
 from .errors import ContractError, NumericError
 from .tensor import Tensor, _make, unit_vectors, unit_vectors_vjp
-
-_NORM_EPS = 1e-8
 
 
 class ProxyBank:
@@ -76,32 +73,6 @@ class ProxyBank:
         if float(self.eta.data) < self.eta_floor:
             self.eta.data = np.asarray(self.eta_floor)
 
-    def state(self) -> dict:
-        return {
-            "dim": self.dim,
-            "proxies_per_class": self.K,
-            "delta": self.delta,
-            "eta": float(self.eta.data),
-            "eta_floor": self.eta_floor,
-            "theta": self.theta.data.tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict, where: str = "bank") -> "ProxyBank":
-        require_fields(state, where, ("dim", "proxies_per_class", "delta", "eta",
-                                      "eta_floor", "theta"))
-        bank = cls(state["dim"], state["proxies_per_class"], state["delta"], state["eta_floor"])
-        bank.eta.data = np.asarray(float(state["eta"]))
-        for proxies in state["theta"]:
-            bank.add_class(proxies)
-        return bank
-
-
-def _require_nonzero_rows(data: np.ndarray, what: str) -> None:
-    norms = np.sqrt((data * data).sum(axis=-1))
-    if norms.min(initial=np.inf) <= _NORM_EPS:
-        raise NumericError(f"{what} has a (near-)zero-norm vector; cosine undefined")
-
 
 def lsc_scores(h: Tensor, bank: ProxyBank) -> Tensor:
     """Averaged per-class similarity in [-1, 1], shape (B, #classes).
@@ -111,13 +82,18 @@ def lsc_scores(h: Tensor, bank: ProxyBank) -> Tensor:
     classes go through one matmul against the (C*K, D) unit proxies. One
     primitive: its vjp goes into ``h`` and the proxy tensor.
     """
-    _check_h(h, bank)
-    _require_nonzero_rows(bank.theta.data, "proxy weights")
+    if h.data.ndim != 2 or h.shape[1] != bank.dim:
+        raise ContractError(f"embedding shape {h.shape} does not match proxy dim {bank.dim}")
+    if bank.num_classes == 0:
+        raise ContractError("ProxyBank holds no classes yet")
     theta = bank.theta
     C, K, D = theta.shape
     B = h.shape[0]
-    proxies = unit_vectors(theta.data.reshape(C * K, D))
     unit_h = unit_vectors(h.data)
+    proxies = unit_vectors(theta.data.reshape(C * K, D))
+    for (_, alive, _), what in ((unit_h, "embedding"), (proxies, "proxy weights")):
+        if not alive.all():
+            raise NumericError(f"{what} has a (near-)zero-norm vector; cosine undefined")
     proxies_t = proxies[0].T.copy()                                  # (D, C*K)
     sims = (unit_h[0] @ proxies_t).reshape(B, C, K)
     e = np.exp(sims - sims.max(axis=-1, keepdims=True))
@@ -136,16 +112,6 @@ def lsc_scores(h: Tensor, bank: ProxyBank) -> Tensor:
         return g_h, g_theta
 
     return _make((weights * sims).sum(axis=2), "lsc_scores", (h, theta), vjp)
-
-
-def _check_h(h: Tensor, bank: ProxyBank) -> None:
-    if h.data.ndim != 2 or h.shape[1] != bank.dim:
-        raise ContractError(
-            f"embedding shape {h.shape} does not match proxy dim {bank.dim}"
-        )
-    if bank.num_classes == 0:
-        raise ContractError("ProxyBank holds no classes yet")
-    _require_nonzero_rows(h.data, "embedding")
 
 
 def _check_labels(yhat: Tensor, labels: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import require_fields
 from .errors import ContractError, NumericError
 
 _NORM_EPS = 1e-8
@@ -128,21 +127,3 @@ class ExemplarMemory:
                 raise NumericError(f"class {c}: exemplar mean is (near-)zero")
             means[c] = mean / mnorm
         return means
-
-    def state(self) -> dict:
-        kind = "per_class" if isinstance(self.budget, PerClass) else "total"
-        return {
-            "budget": {"kind": kind, "m": self.budget.m},
-            "per_class": {str(c): list(v) for c, v in self.per_class.items()},
-        }
-
-    @classmethod
-    def from_state(cls, state: dict, where: str = "memory") -> "ExemplarMemory":
-        require_fields(state, where, ("budget", "per_class"))
-        b = state["budget"]
-        require_fields(b, f"{where}.budget", ("kind", "m"))
-        budget = PerClass(b["m"]) if b["kind"] == "per_class" else Total(b["m"])
-        mem = cls(budget)
-        for c, indices in state["per_class"].items():
-            mem.per_class[int(c)] = [int(i) for i in indices]
-        return mem

@@ -16,8 +16,8 @@ import numpy as np
 
 from .backbone import Backbone, BackboneConfig
 from .datasets import Dataset
-from .checkpoint import require_fields
-from .errors import ContractError
+from .checkpoint import require_fields, stored_array
+from .errors import ContractError, FormatError
 from .lsc import (
     ProxyBank,
     cross_entropy_loss,
@@ -90,7 +90,6 @@ class RunMetrics:
     nme_accuracy: list[float] = field(default_factory=list)
     cnn_accuracy: list[float] = field(default_factory=list)
     seen_classes: list[int] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     @property
     def avg_nme(self) -> float:
@@ -274,9 +273,7 @@ class IncrementalRunner:
         self.memory = ExemplarMemory(config.budget)
         self.rng = np.random.default_rng(run_seed)
         self.class_map: list[int] = []  # original id at each dense position
-        self.metrics = RunMetrics(
-            metadata={"balanced_finetune": config.balanced_finetune}
-        )
+        self.metrics = RunMetrics()
         self.task_cursor = 0
 
     @property
@@ -422,19 +419,21 @@ class IncrementalRunner:
     # -- checkpointable state ------------------------------------------------
 
     def to_state(self) -> dict:
+        """The learned state: only what the schedule and config cannot rebuild."""
         return {
             "task_cursor": self.task_cursor,
             "seed": self.seed,
-            "class_map": list(self.class_map),
-            "backbone": self.backbone.state(),
-            "bank": self.bank.state(),
-            "memory": self.memory.state(),
+            "backbone": {"params": {
+                name: {"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
+                for name, t in self.backbone.params.items()
+            }},
+            "bank": {"eta": float(self.bank.eta.data), "theta": self.bank.theta.data.tolist()},
+            "memory": {"per_class": {str(c): list(v) for c, v in self.memory.per_class.items()}},
             "rng": self.rng.bit_generator.state,
             "metrics": {
                 "nme_accuracy": self.metrics.nme_accuracy,
                 "cnn_accuracy": self.metrics.cnn_accuracy,
                 "seen_classes": self.metrics.seen_classes,
-                "metadata": self.metrics.metadata,
             },
         }
 
@@ -442,24 +441,92 @@ class IncrementalRunner:
     def from_state(
         cls, schedule: TaskSchedule, config: RunConfig, dataset: Dataset, state: dict
     ) -> "IncrementalRunner":
-        require_fields(state, "runner", ("task_cursor", "seed", "class_map", "backbone", "bank",
-                                         "memory", "rng", "metrics"))
-        runner = cls(schedule, config, dataset, state["seed"])
-        runner.task_cursor = state["task_cursor"]
-        runner.class_map = [int(c) for c in state["class_map"]]
-        runner.backbone = Backbone.from_state(state["backbone"], "runner.backbone")
-        runner.bank = ProxyBank.from_state(state["bank"], "runner.bank")
-        runner.memory = ExemplarMemory.from_state(state["memory"], "runner.memory")
-        runner.rng.bit_generator.state = state["rng"]
+        """A fresh runner for ``config`` with the learned state of ``to_state`` loaded.
+
+        Fields the config or schedule fix (margin, budget, shapes, the class
+        map) come from them; a stored copy, as older checkpoints hold, is
+        ignored. A missing or malformed field raises ``FormatError`` naming
+        its dotted path.
+        """
+        require_fields(state, "runner", ("task_cursor", "seed", "backbone", "bank", "memory",
+                                         "rng", "metrics"))
+        cursor, seed = state["task_cursor"], state["seed"]
+        if not isinstance(cursor, int) or not 0 <= cursor <= schedule.num_tasks:
+            raise FormatError(
+                f"checkpoint field runner.task_cursor is not in 0..{schedule.num_tasks}"
+            )
+        if not isinstance(seed, int) or seed < 0:
+            raise FormatError("checkpoint field runner.seed is not a non-negative integer")
+        runner = cls(schedule, config, dataset, seed)
+        runner.task_cursor = cursor
+        runner.class_map = [c for t in range(cursor) for c in schedule.task_classes(t)]
+        n_classes = len(runner.class_map)
+
+        require_fields(state["backbone"], "runner.backbone", ("params",))
+        params = state["backbone"]["params"]
+        require_fields(params, "runner.backbone.params", ())
+        values = {}
+        for name, p in params.items():
+            where = f"runner.backbone.params.{name}"
+            require_fields(p, where, ("shape", "values"))
+            try:
+                values[name] = stored_array(p["values"], f"{where}.values").reshape(p["shape"])
+            except (TypeError, ValueError) as err:
+                raise FormatError(f"checkpoint field {where}.shape: {err}")
+        try:
+            runner.backbone = Backbone.from_params(config.backbone, values)
+        except ContractError as err:
+            raise FormatError(f"checkpoint field runner.backbone.params: {err}")
+
+        require_fields(state["bank"], "runner.bank", ("eta", "theta"))
+        eta = stored_array(state["bank"]["eta"], "runner.bank.eta")
+        theta = stored_array(state["bank"]["theta"], "runner.bank.theta")
+        expected = (n_classes, runner.bank.K, runner.bank.dim)
+        if eta.shape != ():
+            raise FormatError("checkpoint field runner.bank.eta is not a number")
+        if theta.shape != expected and not (n_classes == 0 and theta.size == 0):
+            raise FormatError(
+                f"checkpoint field runner.bank.theta has shape {theta.shape}, expected {expected}"
+            )
+        runner.bank.eta.data = eta
+        runner.bank.theta = Tensor(theta.reshape(expected), requires_grad=True)
+
+        require_fields(state["memory"], "runner.memory", ("per_class",))
+        stored = state["memory"]["per_class"]
+        require_fields(stored, "runner.memory.per_class", [str(c) for c in range(n_classes)])
+        if len(stored) != n_classes:
+            raise FormatError(f"checkpoint field runner.memory.per_class holds {len(stored)} "
+                              f"classes, expected {n_classes}")
+        train_y = dataset.train_y
+        for c, original in enumerate(runner.class_map):
+            where = f"runner.memory.per_class.{c}"
+            idx = stored_array(stored[str(c)], where, integer=True)
+            if idx.ndim != 1:
+                raise FormatError(f"checkpoint field {where} is not a list of indices")
+            bad = idx[(idx < 0) | (idx >= train_y.size)]
+            if bad.size:
+                raise FormatError(f"checkpoint field {where}: index {bad[0]} is outside the "
+                                  f"{train_y.size} training samples")
+            bad = idx[train_y[idx] != original]
+            if bad.size:
+                raise FormatError(f"checkpoint field {where}: index {bad[0]} is not a training "
+                                  f"sample of class {original}")
+            runner.memory.per_class[c] = idx.tolist()
+
+        try:
+            runner.rng.bit_generator.state = state["rng"]
+        except (KeyError, TypeError, ValueError) as err:
+            raise FormatError(f"checkpoint field runner.rng is not a generator state ({err!r})")
+
         m = state["metrics"]
-        require_fields(m, "runner.metrics", ("nme_accuracy", "cnn_accuracy", "seen_classes",
-                                             "metadata"))
-        runner.metrics = RunMetrics(
-            list(m["nme_accuracy"]),
-            list(m["cnn_accuracy"]),
-            [int(s) for s in m["seen_classes"]],
-            dict(m["metadata"]),
-        )
+        names = ("nme_accuracy", "cnn_accuracy", "seen_classes")
+        require_fields(m, "runner.metrics", names)
+        series = [stored_array(m[k], f"runner.metrics.{k}", k == "seen_classes") for k in names]
+        for k, arr in zip(names, series):
+            if arr.shape != (cursor,):
+                raise FormatError(f"checkpoint field runner.metrics.{k} does not hold one "
+                                  f"entry per finished task ({cursor})")
+        runner.metrics = RunMetrics(*(arr.tolist() for arr in series))
         return runner
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -5,11 +6,12 @@ import numpy.testing as npt
 import pytest
 
 from podlearn.backbone import Backbone, BackboneConfig
+from podlearn.checkpoint import load_run_checkpoint, save_run_checkpoint
 from podlearn.errors import ContractError, FormatError, ShapeError
 from podlearn.gradcheck import gradient_check
 from podlearn.lsc import ProxyBank, lsc_scores, nca_hinge_loss
 from podlearn.pod import PodConfig, pod_final, pod_targets
-from podlearn.protocol import SGD
+from podlearn.protocol import SGD, IncrementalRunner
 from podlearn.tensor import Tensor, tsum
 
 
@@ -170,38 +172,58 @@ def test_clone_collects_no_gradients():
 # -- checkpointing ----------------------------------------------------------------
 
 
-def test_checkpoint_roundtrip_bit_exact():
-    model = _default()
-    loaded = Backbone.from_state(json.loads(json.dumps(model.state())))
-    assert set(loaded.params) == set(model.params)
-    for name, p in model.params.items():
-        assert (loaded.params[name].data == p.data).all()
-    rng = np.random.default_rng(6)
-    batch = Tensor(rng.normal(size=(1, 3, 8, 8)))
-    a = model.forward_with_stages(batch).embedding.data
+def test_checkpoint_roundtrip_bit_exact(first_task_state):
+    ds, sched, cfg, runner, state = first_task_state()
+    loaded = IncrementalRunner.from_state(sched, cfg, ds, state).backbone
+    assert list(loaded.params) == list(runner.backbone.params)
+    for name, p in runner.backbone.params.items():
+        assert loaded.params[name].data.tobytes() == p.data.tobytes()
+        assert loaded.params[name].requires_grad
+    batch = Tensor(ds.train_x[:5])
+    a = runner.backbone.forward_with_stages(batch).embedding.data
     b = loaded.forward_with_stages(batch).embedding.data
-    assert (a == b).all()
+    assert a.tobytes() == b.tobytes()
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
-    model = _default()
-    state = model.state()
-    state["version"] = 99
-    with pytest.raises(FormatError):
-        Backbone.from_state(state)
+    path = tmp_path / "checkpoint.json"
+    save_run_checkpoint(str(path), {}, {})
+    blob = json.loads(path.read_text())
+    blob["version"] = 99
+    path.write_text(json.dumps(blob))
+    with pytest.raises(FormatError, match="version 99"):
+        load_run_checkpoint(str(path))
 
 
-def test_checkpoint_names_a_missing_nested_field():
-    state = json.loads(json.dumps(_default().state()))
-    del state["params"]["head.bias"]["values"]
-    with pytest.raises(FormatError) as exc:
-        Backbone.from_state(state)
-    assert "backbone.params.head.bias.values" in str(exc.value)
-    state = _default().state()
-    del state["config"]
-    with pytest.raises(FormatError) as exc:
-        Backbone.from_state(state, "runner.backbone")
-    assert "runner.backbone.config" in str(exc.value)
+def test_checkpoint_names_a_missing_nested_field(first_task_state):
+    ds, sched, cfg, _, state = first_task_state()
+    for keys in (("params", "head.bias", "values"), ("params", "stage0.block0.weight", "shape"),
+                 ("params",)):
+        broken = copy.deepcopy(state)
+        node = broken["backbone"]
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+        with pytest.raises(FormatError) as exc:
+            IncrementalRunner.from_state(sched, cfg, ds, broken)
+        assert "runner.backbone." + ".".join(keys) in str(exc.value)
+
+
+def test_checkpoint_rejects_a_wrong_parameter_shape_or_name(first_task_state):
+    ds, sched, cfg, _, state = first_task_state()
+    broken = copy.deepcopy(state)
+    p = broken["backbone"]["params"]["stage0.block0.weight"]
+    p["shape"] = p["shape"][::-1]  # same entry count, another shape
+    with pytest.raises(FormatError, match=r"runner\.backbone\.params.*stage0\.block0\.weight"):
+        IncrementalRunner.from_state(sched, cfg, ds, broken)
+    broken = copy.deepcopy(state)
+    broken["backbone"]["params"]["head.bias"]["values"].pop()
+    with pytest.raises(FormatError, match=r"runner\.backbone\.params\.head\.bias"):
+        IncrementalRunner.from_state(sched, cfg, ds, broken)
+    broken = copy.deepcopy(state)
+    broken["backbone"]["params"]["extra"] = broken["backbone"]["params"].pop("head.bias")
+    with pytest.raises(FormatError, match=r"runner\.backbone\.params.*extra"):
+        IncrementalRunner.from_state(sched, cfg, ds, broken)
 
 
 def test_from_params_validates_names_and_shapes():

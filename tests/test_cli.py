@@ -134,6 +134,8 @@ def test_run_outputs_summary_and_plot_data(tmp_path):
     assert summary["tasks"] == 3
     assert 0.0 <= summary["avg_incremental_accuracy"]["nme"] <= 1.0
     assert summary["seed"] == 0
+    # flags such as balanced_finetune are recorded once, in the config echo
+    assert summary["config"]["balanced_finetune"] is False and "metadata" not in summary
     # config echo reparses to an equal config
     echoed = ExperimentConfig.from_dict(summary["config"])
     assert echoed == ExperimentConfig.from_file(cfg_path)
@@ -173,7 +175,6 @@ def test_resume_from_checkpoint_completes_run(tmp_path):
     full = open(os.path.join(out, "metrics.csv")).read()
 
     # truncate the checkpoint back to after task 0 and resume
-    ckpt = json.load(open(os.path.join(out, "checkpoint.json")))
     cfg = ExperimentConfig.from_file(cfg_path)
     ds = cfg.load_data()
     from podlearn.checkpoint import save_run_checkpoint
@@ -196,8 +197,9 @@ def test_resume_rejects_mismatched_config(tmp_path, capsys):
     assert main(["run", other, "--output", out, "--resume"]) == 1
 
 
-def _checkpointed_out_dir(tmp_path):
-    """A config and an output dir holding a valid checkpoint.json written before task 0."""
+def _checkpointed_out_dir(tmp_path, tasks=0):
+    """A config and an output dir holding a valid checkpoint.json written after
+    ``tasks`` finished tasks."""
     from podlearn.checkpoint import save_run_checkpoint
     from podlearn.protocol import IncrementalRunner
 
@@ -205,6 +207,8 @@ def _checkpointed_out_dir(tmp_path):
     cfg = ExperimentConfig.from_file(cfg_path)
     ds = cfg.load_data()
     runner = IncrementalRunner(cfg.schedule(), cfg.run_config(ds.input_shape), ds, cfg.seed)
+    for _ in range(tasks):
+        runner.run_next_task()
     out = tmp_path / "out"
     out.mkdir()
     save_run_checkpoint(str(out / "checkpoint.json"), cfg.to_dict(), runner.to_state())
@@ -240,6 +244,49 @@ def test_resume_checkpoint_missing_nested_field_exits_one(tmp_path, capsys):
     assert main(["run", cfg_path, "--output", str(out), "--resume"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "runner.bank.theta" in err
+
+
+def test_resume_parent_layout_checkpoint_matches_full_run(tmp_path):
+    cfg_path = _write(tmp_path, TINY_INCREMENTAL)
+    full_out = str(tmp_path / "full")
+    assert main(["run", cfg_path, "--output", full_out]) == 0
+    full = open(os.path.join(full_out, "metrics.csv"), "rb").read()
+
+    cfg_path, out = _checkpointed_out_dir(tmp_path, tasks=1)
+    ckpt = out / "checkpoint.json"
+    blob = json.loads(ckpt.read_text())
+    state = blob["runner"]
+    # the runner stores only learned state: nothing the config or schedule fix
+    assert sorted(state) == ["backbone", "bank", "memory", "metrics", "rng", "seed",
+                             "task_cursor"]
+    assert (sorted(state["backbone"]), sorted(state["bank"]), sorted(state["memory"])) == (
+        ["params"], ["eta", "theta"], ["per_class"])
+    assert sorted(state["metrics"]) == ["cnn_accuracy", "nme_accuracy", "seen_classes"]
+    # add back the copies of config values that checkpoints of the older layout carry
+    state["class_map"] = ExperimentConfig.from_file(cfg_path).schedule().task_classes(0)
+    state["backbone"].update(version=1, config={
+        "input_shape": [2, 6, 6], "stages": [[4, 1], [8, 1]], "embedding_dim": 8})
+    state["bank"].update(dim=8, proxies_per_class=2, delta=0.6, eta_floor=1.0)
+    state["memory"]["budget"] = {"kind": "per_class", "m": 3}
+    state["metrics"]["metadata"] = {"balanced_finetune": False}
+    ckpt.write_text(json.dumps(blob))
+    assert blob["version"] == 1
+    assert main(["run", cfg_path, "--output", str(out), "--resume"]) == 0
+    assert (out / "metrics.csv").read_bytes() == full
+
+
+@pytest.mark.parametrize("bad", ["out_of_range", "other_class"])
+def test_resume_bad_exemplar_index_exits_one(tmp_path, capsys, bad):
+    cfg_path, out = _checkpointed_out_dir(tmp_path, tasks=1)
+    ckpt = out / "checkpoint.json"
+    blob = json.loads(ckpt.read_text())
+    per_class = blob["runner"]["memory"]["per_class"]
+    per_class["1"][0] = 10**6 if bad == "out_of_range" else per_class["0"][0]
+    ckpt.write_text(json.dumps(blob))
+    assert main(["run", cfg_path, "--output", str(out), "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: checkpoint field runner.memory.per_class.1: ")
+    assert "Traceback" not in err
 
 
 # -- generate / summarize --------------------------------------------------------------
@@ -309,3 +356,13 @@ def test_summarize_merges_runs(tmp_path, capsys):
 
 def test_summarize_missing_dir_exits_one(tmp_path):
     assert main(["summarize", str(tmp_path / "ghost")]) == 1
+
+
+def test_summarize_malformed_summary_exits_one(tmp_path, capsys):
+    for name, text in (("no_average", '{"seed": 0, "tasks": 3}'), ("a_list", "[1, 2]")):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        (run_dir / "summary.json").write_text(text)
+        assert main(["summarize", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {run_dir / 'summary.json'}: ")

@@ -1,4 +1,4 @@
-import json
+import copy
 
 import numpy as np
 import numpy.testing as npt
@@ -14,6 +14,7 @@ from podlearn.lsc import (
     lsc_scores,
     nca_hinge_loss,
 )
+from podlearn.protocol import IncrementalRunner
 from podlearn.tensor import Tensor, mul, tsum
 
 from oracles import (
@@ -374,41 +375,44 @@ def test_imprint_empty_class_rejected():
 # -- bank bookkeeping ---------------------------------------------------------------------
 
 
-def test_bank_state_roundtrip():
-    rng = np.random.default_rng(14)
-    theta = [rng.normal(size=(3, 4)) for _ in range(2)]
-    bank = _bank(theta, delta=0.4, eta=1.5)
-    bank.eta.data = np.asarray(3.25)
-    state = bank.state()
+def test_bank_state_roundtrip(first_task_state):
+    ds, sched, cfg, runner, state = first_task_state(margin=0.4, eta_init=1.5)
     # the stacked tensor writes the per-class layout: C lists of K x D lists
-    assert state["theta"] == [t.tolist() for t in theta]
-    clone = ProxyBank.from_state(json.loads(json.dumps(state)))
-    assert clone.num_classes == 2
-    assert clone.theta.shape == (2, 3, 4)
-    assert float(clone.eta.data) == 3.25
-    assert clone.eta_floor == 1.5
-    assert clone.delta == 0.4
-    npt.assert_array_equal(clone.theta.data, np.stack(theta))
-    assert clone.state() == state
+    assert state["bank"]["theta"] == [t.tolist() for t in runner.bank.theta.data]
+    bank = IncrementalRunner.from_state(sched, cfg, ds, state).bank
+    assert bank.num_classes == 2
+    assert bank.theta.shape == (2, 2, 8) and bank.theta.requires_grad
+    assert bank.theta.data.tobytes() == runner.bank.theta.data.tobytes()
+    assert float(bank.eta.data) == 3.25
+    # the margin and the eta floor come from the config
+    assert bank.delta == 0.4
+    assert bank.eta_floor == 1.5
 
 
-def test_bank_from_state_names_a_missing_field():
-    state = _bank([np.ones((3, 4))]).state()
-    del state["theta"]
-    with pytest.raises(FormatError) as exc:
-        ProxyBank.from_state(state, "runner.bank")
-    assert "runner.bank.theta" in str(exc.value)
+def test_bank_from_state_names_a_missing_field(first_task_state):
+    ds, sched, cfg, _, state = first_task_state()
+    for name in ("theta", "eta"):
+        broken = copy.deepcopy(state)
+        del broken["bank"][name]
+        with pytest.raises(FormatError) as exc:
+            IncrementalRunner.from_state(sched, cfg, ds, broken)
+        assert f"runner.bank.{name}" in str(exc.value)
 
 
-def test_bank_from_state_rejects_malformed_theta():
-    rng = np.random.default_rng(15)
-    state = _bank([rng.normal(size=(3, 4)) for _ in range(2)]).state()
-    wrong_shape = dict(state, theta=[state["theta"][0], state["theta"][1][:2]])
-    with pytest.raises(ContractError):
-        ProxyBank.from_state(wrong_shape)
-    ragged = dict(state, theta=[state["theta"][0], [[1.0, 2.0, 3.0, 4.0], [1.0], [2.0]]])
-    with pytest.raises(ContractError):
-        ProxyBank.from_state(ragged)
+def test_bank_from_state_rejects_malformed_theta(first_task_state):
+    ds, sched, cfg, _, state = first_task_state()
+    theta = state["bank"]["theta"]  # 2 classes of K=2 proxies of D=8
+    for bad in (
+        [theta[0], theta[1][:1]],                           # a class one proxy short
+        [theta[0], [theta[1][0], theta[1][1][:4]]],         # ragged: one short proxy
+        theta[:1],                                          # one class short
+        [[row + [0.0] for row in rows] for rows in theta],  # D + 1
+        [[["x"] * 8] * 2] * 2,                              # not numbers
+    ):
+        broken = copy.deepcopy(state)
+        broken["bank"]["theta"] = bad
+        with pytest.raises(FormatError, match=r"runner\.bank\.theta"):
+            IncrementalRunner.from_state(sched, cfg, ds, broken)
 
 
 def test_bank_grows_one_stacked_parameter():

