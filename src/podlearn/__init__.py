@@ -34,7 +34,7 @@ from .lsc import (
     nca_hinge_loss,
 )
 from .memory import ExemplarMemory, PerClass, Total, herd_select
-from .pod import PodConfig, PodMode, PodTargets, pod_final, pod_flat, pod_pooled, pod_targets
+from .pod import PodConfig, PodMode, pod_final, pod_flat, pod_pooled, pod_targets
 from .protocol import (
     IncrementalRunner,
     RunConfig,
@@ -63,7 +63,6 @@ __all__ = [
     "PerClass",
     "PodConfig",
     "PodMode",
-    "PodTargets",
     "PodlearnError",
     "ProxyBank",
     "RunConfig",

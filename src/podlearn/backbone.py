@@ -121,18 +121,8 @@ class Backbone:
         embedding = add(matmul(pooled, self.params["head.weight"]), self.params["head.bias"])
         return StageOutputs(stage_maps=maps, embedding=embedding)
 
-    def clone_frozen(self) -> "Backbone":
-        """Deep copy with gradient tracking disabled on every parameter."""
-        return Backbone.from_params(
-            self.config,
-            {k: v.data.copy() for k, v in self.params.items()},
-            requires_grad=False,
-        )
-
     @classmethod
-    def from_params(
-        cls, config: BackboneConfig, values: dict[str, np.ndarray], requires_grad: bool = True
-    ) -> "Backbone":
+    def from_params(cls, config: BackboneConfig, values: dict[str, np.ndarray]) -> "Backbone":
         model = cls(config, seed=0)
         if set(values) != set(model.params):
             missing = set(model.params) ^ set(values)
@@ -143,5 +133,5 @@ class Backbone:
                 raise ContractError(
                     f"parameter {name}: shape {arr.shape} != {model.params[name].shape}"
                 )
-            model.params[name] = Tensor(arr.copy(), requires_grad=requires_grad)
+            model.params[name] = Tensor(arr.copy(), requires_grad=True)
         return model

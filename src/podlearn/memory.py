@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericError
-
-_NORM_EPS = 1e-8
+from .tensor import unit_vectors
 
 
 @dataclass(frozen=True)
@@ -92,6 +91,10 @@ class ExemplarMemory:
     def total_stored(self) -> int:
         return sum(len(v) for v in self.per_class.values())
 
+    def indices(self) -> np.ndarray:
+        """Every stored index as one int64 array, class by class in herding order."""
+        return np.array([i for v in self.per_class.values() for i in v], dtype=np.int64)
+
     def add_class(self, class_id: int, herding_order: list[int]) -> None:
         """Register a new class's herding order, then cut every class list to
         its current allocation (a prefix cut)."""
@@ -111,19 +114,16 @@ class ExemplarMemory:
         A zero mean (e.g. antipodal exemplars) is a numeric fault, not a
         silent zero vector.
         """
-        stored = list(self.per_class.values())
-        flat = np.array([i for v in stored for i in v], dtype=np.int64)
-        emb = np.asarray(embed_fn(flat), dtype=np.float64)
+        unit, alive, _ = unit_vectors(np.asarray(embed_fn(self.indices()), dtype=np.float64))
+        bounds = np.cumsum([len(v) for v in self.per_class.values()])
         means: dict[int, np.ndarray] = {}
-        for c, rows in zip(self.per_class, np.split(emb, np.cumsum([len(v) for v in stored]))):
+        for c, rows, ok in zip(self.per_class, np.split(unit, bounds), np.split(alive, bounds)):
             if not rows.size:
                 raise ContractError(f"class {c} has no exemplars")
-            norms = np.linalg.norm(rows, axis=1, keepdims=True)
-            if norms.min() <= _NORM_EPS:
+            if not ok.all():
                 raise NumericError(f"class {c}: zero-norm exemplar embedding")
-            mean = (rows / norms).mean(axis=0)
-            mnorm = np.linalg.norm(mean)
-            if mnorm <= _NORM_EPS:
+            mean, mean_ok, _ = unit_vectors(rows.mean(axis=0))
+            if not mean_ok.all():
                 raise NumericError(f"class {c}: exemplar mean is (near-)zero")
-            means[c] = mean / mnorm
+            means[c] = mean
         return means

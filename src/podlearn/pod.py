@@ -9,9 +9,9 @@ pooled vector, then squared Euclidean distance; batches are averaged.
 Each loss is one autodiff primitive: its forward runs that pipeline in
 numpy, and a hand-written vjp returns the gradient of each input that takes
 one. The teacher is frozen for a whole task, so its half of the pipeline can
-be run once: :func:`pod_targets` reduces a teacher forward to its unit
-pooled rows and unit embedding, and :func:`pod_final` compares a student
-forward against them.
+be run once: :func:`pod_targets` reduces a teacher forward to one row matrix
+of unit pooled rows and the unit embedding, and :func:`pod_final` compares a
+student forward against it.
 """
 
 from __future__ import annotations
@@ -143,91 +143,58 @@ def pod_flat(h_teacher: Tensor, h_student: Tensor) -> Tensor:
     return _make(np.asarray(total), "pod_flat", (h_teacher, h_student), vjp)
 
 
-@dataclass
-class PodTargets:
-    """A teacher forward reduced to what :func:`pod_final` compares against.
+def pod_targets(outs: StageOutputs, mode: PodMode) -> np.ndarray:
+    """A forward reduced to the (B, F) rows :func:`pod_final` compares against.
 
-    ``stages[i][j]`` holds the unit pooled rows (B, F) of stage map ``i`` for
-    axis group ``j`` of ``mode``; ``embedding`` holds the unit embedding rows.
-    Indexing with rows selects samples; assigning to rows writes into these
-    arrays, so targets for a whole pool can be filled chunk by chunk.
+    Each stage map's unit pooled rows, axis group by axis group in
+    ``_POOLED_AXES`` order, followed by the unit embedding, side by side.
     """
-
-    mode: PodMode
-    stages: tuple[tuple[np.ndarray, ...], ...]
-    embedding: np.ndarray
-
-    def _map(self, fn) -> "PodTargets":
-        stages = tuple(tuple(fn(r) for r in groups) for groups in self.stages)
-        return PodTargets(self.mode, stages, fn(self.embedding))
-
-    def _arrays(self) -> list[np.ndarray]:
-        return [r for groups in self.stages for r in groups] + [self.embedding]
-
-    def __len__(self) -> int:
-        return self.embedding.shape[0]
-
-    def __getitem__(self, rows) -> "PodTargets":
-        return self._map(lambda r: r[rows])
-
-    def __setitem__(self, rows, other: "PodTargets") -> None:
-        for dst, src in zip(self._arrays(), other._arrays()):
-            dst[rows] = src
-
-    def empty(self, n: int) -> "PodTargets":
-        """Uninitialised targets of ``n`` rows, each array as wide as here."""
-        return self._map(lambda r: np.empty((n, r.shape[1])))
-
-
-def pod_targets(outs: StageOutputs, mode: PodMode) -> PodTargets:
-    """The unit pooled rows of every stage map, and the unit embedding."""
     mode = PodMode(mode)
-    stages = tuple(
-        tuple(y for y, _, _ in _unit_groups(m.data, mode)) for m in outs.stage_maps
-    )
-    return PodTargets(mode, stages, unit_vectors(outs.embedding.data)[0])
+    rows = [y for m in outs.stage_maps for y, _, _ in _unit_groups(m.data, mode)]
+    return np.concatenate(rows + [unit_vectors(outs.embedding.data)[0]], axis=1)
 
 
-def pod_final(teacher: PodTargets, student: StageOutputs, cfg: PodConfig,
+def pod_final(teacher: np.ndarray, student: StageOutputs, cfg: PodConfig,
               scale_factor: float) -> Tensor:
     """Combined distillation loss over all stage maps plus the flat embedding.
 
-    ``teacher`` holds the frozen teacher's :func:`pod_targets` for the same
-    samples, in the same order. ``scale_factor`` is the adaptive factor
-    sqrt(seen / new) supplied by the protocol; both terms are multiplied by
-    it. The intermediate term averages over the constrained stage maps.
-    Gradients go into the student's stage maps and embedding only.
+    ``teacher`` holds the frozen teacher's :func:`pod_targets` under
+    ``cfg.mode`` for the same samples, in the same order. ``scale_factor`` is
+    the adaptive factor sqrt(seen / new) supplied by the protocol; both terms
+    are multiplied by it. The intermediate term averages over the constrained
+    stage maps. Gradients go into the student's stage maps and embedding only.
     """
     if not (math.isfinite(scale_factor) and scale_factor > 0):
         raise ContractError(f"pod_final: scale must be positive, got {scale_factor}")
     s_maps = student.stage_maps
-    if len(teacher.stages) != len(s_maps):
-        raise ShapeError(
-            "pod_final", f"stage counts differ: {len(teacher.stages)} vs {len(s_maps)}"
-        )
     mode = PodMode(cfg.mode)
-    if teacher.mode != mode:
-        raise ContractError(f"pod_final: targets pooled by {teacher.mode.value}, "
-                            f"config asks for {mode.value}")
+    axes_groups = _POOLED_AXES[mode]
+    widths = [math.prod(n for i, n in enumerate(sm.shape) if i and i not in axes)
+              for sm in s_maps for axes in axes_groups] + [student.embedding.shape[1]]
     rows = student.embedding.shape[0]
-    if len(teacher) != rows:
-        raise ShapeError("pod_final", f"{len(teacher)} teacher rows for {rows} student rows")
+    if teacher.shape != (rows, sum(widths)):
+        raise ShapeError("pod_final", f"targets {teacher.shape} do not fit student maps "
+                         f"{[sm.shape for sm in s_maps]} and embedding "
+                         f"{student.embedding.shape} under mode {mode.value}: "
+                         f"expected {(rows, sum(widths))}")
+    *t_groups, t_emb = np.split(teacher, np.cumsum(widths)[:-1], axis=1)
+    n = len(axes_groups)
 
     total = None
     stage_terms = []  # (map, its unit groups, teacher - student differences)
     if cfg.lambda_c > 0 and s_maps:
         weight_c = cfg.lambda_c / len(s_maps)
         inter = None
-        for sm, t_rows in zip(s_maps, teacher.stages):
+        for i, sm in enumerate(s_maps):
             groups = _unit_groups(sm.data, mode)
-            d, diffs = _distances(t_rows, [u[0] for u in groups])
+            d, diffs = _distances(t_groups[i * n : (i + 1) * n], [u[0] for u in groups])
             inter = d if inter is None else inter + d
             stage_terms.append((sm, groups, diffs))
         total = inter * weight_c
     emb = None
     if cfg.lambda_f > 0:
         emb = unit_vectors(student.embedding.data)
-        flat, (flat_diff,) = _distances([teacher.embedding], [emb[0]])
+        flat, (flat_diff,) = _distances([t_emb], [emb[0]])
         flat = flat * cfg.lambda_f
         total = flat if total is None else total + flat
     if total is None:

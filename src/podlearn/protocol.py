@@ -1,10 +1,11 @@
 """Incremental-learning orchestration.
 
-One run walks a task schedule: snapshot the previous model as a frozen
-teacher, imprint proxies for the new classes, train on new data plus
-rehearsal exemplars with the combined classification + distillation loss,
-refresh the exemplar memory by herding, then evaluate on everything seen so
-far with both inference modes from one embedding of the test set.
+One run walks a task schedule: imprint proxies for the new classes, reduce
+the previous task's model (the teacher) to its distillation targets over the
+task's data, train on new data plus rehearsal exemplars with the combined
+classification + distillation loss, refresh the exemplar memory by herding,
+then evaluate on everything seen so far with both inference modes from one
+embedding of the test set.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .lsc import (
     nca_hinge_loss,
 )
 from .memory import Budget, ExemplarMemory, PerClass, herd_select
-from .pod import PodConfig, PodMode, PodTargets, pod_final, pod_targets
+from .pod import PodConfig, pod_final, pod_targets
 from .tensor import Tensor, no_grad, unit_vectors
 
 
@@ -175,36 +176,27 @@ def _cosine_lr(base: float, epoch: int, total_epochs: int) -> float:
     return base * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
-def _forward_chunks(model: Backbone, x: np.ndarray, batch: int = 64):
-    """Yield ``(rows, StageOutputs)`` for ``x`` in chunks, each forwarded under no_grad."""
+def _forward_rows(model: Backbone, x: np.ndarray, rows_of, batch: int = 64) -> np.ndarray:
+    """``rows_of(StageOutputs)`` for every row of ``x``, from no-grad forwards.
+
+    The chunks' rows fill one array allocated from the first chunk, so only
+    one chunk's stage maps are alive at a time. Zero rows of ``x`` still run
+    one empty forward, which gives an empty array of the right width.
+    """
     # chunks of 64 keep conv2d's column matrices (up to KW*KH times the size
     # of their input map) below the peak memory a training step reaches anyway
-    for lo in range(0, x.shape[0], batch):
+    out = None
+    for lo in range(0, max(x.shape[0], 1), batch):
         with no_grad():
-            outs = model.forward_with_stages(Tensor(x[lo : lo + batch]))
-        yield slice(lo, lo + batch), outs
+            chunk = rows_of(model.forward_with_stages(Tensor(x[lo : lo + batch])))
+        if out is None:
+            out = np.empty((x.shape[0], chunk.shape[1]))
+        out[lo : lo + batch] = chunk
+    return out
 
 
 def _embed_all(model: Backbone, x: np.ndarray, batch: int = 64) -> np.ndarray:
-    emb = np.empty((x.shape[0], model.config.embedding_dim))
-    for rows, outs in _forward_chunks(model, x, batch):
-        emb[rows] = outs.embedding.data
-    return emb
-
-
-def _teacher_targets(teacher: Backbone, x: np.ndarray, mode: PodMode) -> PodTargets:
-    """The frozen teacher's POD targets for every row of ``x``, computed once.
-
-    Only the unit pooled rows are kept, written into arrays allocated from
-    the first chunk; the teacher's raw stage maps are dropped chunk by chunk.
-    """
-    targets = None
-    for rows, outs in _forward_chunks(teacher, x):
-        chunk = pod_targets(outs, mode)
-        if targets is None:
-            targets = chunk.empty(x.shape[0])
-        targets[rows] = chunk
-    return targets
+    return _forward_rows(model, x, lambda outs: outs.embedding.data, batch)
 
 
 def evaluate(
@@ -261,7 +253,6 @@ class IncrementalRunner:
         self.schedule = schedule
         self.config = config
         self.dataset = dataset
-        self.seed = seed
         model_seed, run_seed = np.random.SeedSequence(seed).spawn(2)
         self.backbone = Backbone(config.backbone, seed=model_seed)
         self.bank = ProxyBank(
@@ -298,9 +289,6 @@ class IncrementalRunner:
         cfg = self.config
         new_classes = self.schedule.task_classes(t)
         try:
-            distil = t > 0 and (cfg.pod.lambda_c > 0 or cfg.pod.lambda_f > 0)
-            teacher = self.backbone.clone_frozen() if distil else None
-
             # imprint proxies for the incoming classes
             feats = [emb for _, emb in self._class_embeddings(new_classes)]
             for c, proxies in zip(new_classes, imprint_new_classes(feats, self.bank.K, self.rng)):
@@ -309,7 +297,7 @@ class IncrementalRunner:
 
             seen = len(self.class_map)
             lam = adaptive_scale(seen, len(new_classes))
-            self._train_task(new_classes, teacher, lam)
+            self._train_task(new_classes, lam)
 
             # herd the new classes as far as any budget can keep: no class ever
             # holds more than budget.m, and greedy picks do not depend on how
@@ -343,8 +331,7 @@ class IncrementalRunner:
         """Indices and dense labels of the task's data: new classes + rehearsal."""
         # the memory holds old classes only: new ones are herded after training
         parts = [self.dataset.train_indices_of(c) for c in new_classes]
-        parts += [np.asarray(stored, dtype=np.int64) for stored in self.memory.per_class.values()]
-        indices = np.concatenate(parts)
+        indices = np.concatenate(parts + [self.memory.indices()])
         labels = self._dense_labels(self.dataset.train_y[indices])
         return indices, labels
 
@@ -374,16 +361,19 @@ class IncrementalRunner:
                 opt.step()
                 self.bank.clamp_eta()
 
-    def _train_task(self, new_classes: list[int], teacher, lam: float) -> None:
-        """Train backbone and classifier; distil from ``teacher`` unless it is None."""
+    def _train_task(self, new_classes: list[int], lam: float) -> None:
+        """Train backbone and classifier, distilling from the previous task's model."""
         cfg = self.config
         if self.bank.num_classes < 2 and cfg.classifier_loss == "nca":
             raise ContractError("NCA loss needs >= 2 classes in the first task")
         indices, labels = self._task_train_pool(new_classes)
-        # the teacher is frozen for the whole task: run it once over the pool
-        targets = None if teacher is None else _teacher_targets(
-            teacher, self.dataset.train_x[indices], cfg.pod.mode
-        )
+        targets = None
+        if self.task_cursor > 0 and (cfg.pod.lambda_c > 0 or cfg.pod.lambda_f > 0):
+            # the teacher is the backbone before its first step of this task
+            # (imprinting never touches it), and it stays frozen for the whole
+            # task: reduce it to its POD targets over the pool once
+            targets = _forward_rows(self.backbone, self.dataset.train_x[indices],
+                                    lambda outs: pod_targets(outs, cfg.pod.mode))
 
         def batch_loss(sel):
             x = Tensor(self.dataset.train_x[indices[sel]])
@@ -399,9 +389,7 @@ class IncrementalRunner:
     def _balanced_finetune(self) -> None:
         """Optional post-task pass over the (balanced) memory, classifier only."""
         cfg = self.config
-        indices = np.concatenate(
-            [np.asarray(v, dtype=np.int64) for v in self.memory.per_class.values()]
-        )
+        indices = self.memory.indices()
         labels = self._dense_labels(self.dataset.train_y[indices])
         # the backbone is frozen here: embed the memory once
         emb = _embed_all(self.backbone, self.dataset.train_x[indices])
@@ -422,7 +410,6 @@ class IncrementalRunner:
         """The learned state: only what the schedule and config cannot rebuild."""
         return {
             "task_cursor": self.task_cursor,
-            "seed": self.seed,
             "backbone": {"params": {
                 name: {"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
                 for name, t in self.backbone.params.items()
@@ -445,19 +432,18 @@ class IncrementalRunner:
 
         Fields the config or schedule fix (margin, budget, shapes, the class
         map) come from them; a stored copy, as older checkpoints hold, is
-        ignored. A missing or malformed field raises ``FormatError`` naming
+        ignored, and so is a stored seed: the parameters and RNG state it
+        would seed are loaded. A missing or malformed field raises ``FormatError`` naming
         its dotted path.
         """
-        require_fields(state, "runner", ("task_cursor", "seed", "backbone", "bank", "memory",
-                                         "rng", "metrics"))
-        cursor, seed = state["task_cursor"], state["seed"]
+        require_fields(state, "runner", ("task_cursor", "backbone", "bank", "memory", "rng",
+                                         "metrics"))
+        cursor = state["task_cursor"]
         if not isinstance(cursor, int) or not 0 <= cursor <= schedule.num_tasks:
             raise FormatError(
                 f"checkpoint field runner.task_cursor is not in 0..{schedule.num_tasks}"
             )
-        if not isinstance(seed, int) or seed < 0:
-            raise FormatError("checkpoint field runner.seed is not a non-negative integer")
-        runner = cls(schedule, config, dataset, seed)
+        runner = cls(schedule, config, dataset, seed=0)
         runner.task_cursor = cursor
         runner.class_map = [c for t in range(cursor) for c in schedule.task_classes(t)]
         n_classes = len(runner.class_map)

@@ -11,8 +11,8 @@ from podlearn.errors import ContractError, FormatError, ShapeError
 from podlearn.gradcheck import gradient_check
 from podlearn.lsc import ProxyBank, lsc_scores, nca_hinge_loss
 from podlearn.pod import PodConfig, pod_final, pod_targets
-from podlearn.protocol import SGD, IncrementalRunner
-from podlearn.tensor import Tensor, tsum
+from podlearn.protocol import IncrementalRunner
+from podlearn.tensor import Tensor
 
 
 def _default():
@@ -72,7 +72,7 @@ def test_gradients_through_whole_training_graph_into_conv_weight():
     # respect to the first stage's conv weight
     cfg = BackboneConfig(input_shape=(2, 6, 5), stages=((3, 1), (4, 1)), embedding_dim=5)
     student = Backbone(cfg, seed=1)
-    teacher = Backbone(cfg, seed=2).clone_frozen()
+    teacher = Backbone(cfg, seed=2)
     rng = np.random.default_rng(30)
     x = Tensor(rng.normal(size=(3, 2, 6, 5)))
     bank = ProxyBank(5, 2)
@@ -121,52 +121,6 @@ def test_determinism_same_seed_bitwise():
     assert (a.embedding.data == b.embedding.data).all()
     for am, bm in zip(a.stage_maps, b.stage_maps):
         assert (am.data == bm.data).all()
-
-
-# -- frozen clones --------------------------------------------------------------
-
-
-def test_clone_matches_at_clone_time():
-    rng = np.random.default_rng(3)
-    model = _default()
-    clone = model.clone_frozen()
-    batch = Tensor(rng.normal(size=(2, 3, 8, 8)))
-    a = model.forward_with_stages(batch)
-    b = clone.forward_with_stages(batch)
-    assert (a.embedding.data == b.embedding.data).all()
-
-
-def test_clone_unchanged_after_student_update():
-    rng = np.random.default_rng(4)
-    model = _default()
-    clone = model.clone_frozen()
-    batch = Tensor(rng.normal(size=(2, 3, 8, 8)))
-    before = clone.forward_with_stages(batch).embedding.data.copy()
-
-    opt = SGD(model.parameters(), lr=0.1)
-    loss = tsum(model.forward_with_stages(batch).embedding)
-    opt.zero_grad()
-    loss.backward()
-    opt.step()
-
-    after = clone.forward_with_stages(batch).embedding.data
-    assert (before == after).all()
-    # and the student did move
-    moved = model.forward_with_stages(batch).embedding.data
-    assert not np.allclose(before, moved)
-
-
-def test_clone_collects_no_gradients():
-    rng = np.random.default_rng(5)
-    model = _default()
-    clone = model.clone_frozen()
-    batch = Tensor(rng.normal(size=(2, 3, 8, 8)))
-    out = clone.forward_with_stages(batch)
-    assert out.embedding.requires_grad is False
-    loss = tsum(out.embedding) + tsum(model.forward_with_stages(batch).embedding)
-    loss.backward()
-    assert all(p.grad is None for p in clone.parameters())
-    assert any(p.grad is not None for p in model.parameters())
 
 
 # -- checkpointing ----------------------------------------------------------------

@@ -257,13 +257,13 @@ def test_resume_parent_layout_checkpoint_matches_full_run(tmp_path):
     blob = json.loads(ckpt.read_text())
     state = blob["runner"]
     # the runner stores only learned state: nothing the config or schedule fix
-    assert sorted(state) == ["backbone", "bank", "memory", "metrics", "rng", "seed",
-                             "task_cursor"]
+    assert sorted(state) == ["backbone", "bank", "memory", "metrics", "rng", "task_cursor"]
     assert (sorted(state["backbone"]), sorted(state["bank"]), sorted(state["memory"])) == (
         ["params"], ["eta", "theta"], ["per_class"])
     assert sorted(state["metrics"]) == ["cnn_accuracy", "nme_accuracy", "seen_classes"]
     # add back the copies of config values that checkpoints of the older layout carry
     state["class_map"] = ExperimentConfig.from_file(cfg_path).schedule().task_classes(0)
+    state["seed"] = 0
     state["backbone"].update(version=1, config={
         "input_shape": [2, 6, 6], "stages": [[4, 1], [8, 1]], "embedding_dim": 8})
     state["bank"].update(dim=8, proxies_per_class=2, delta=0.6, eta_floor=1.0)
@@ -271,6 +271,23 @@ def test_resume_parent_layout_checkpoint_matches_full_run(tmp_path):
     state["metrics"]["metadata"] = {"balanced_finetune": False}
     ckpt.write_text(json.dumps(blob))
     assert blob["version"] == 1
+    assert main(["run", cfg_path, "--output", str(out), "--resume"]) == 0
+    assert (out / "metrics.csv").read_bytes() == full
+
+
+def test_resume_checkpoint_holding_a_seed_matches_full_run(tmp_path):
+    # checkpoints written before the runner state dropped its seed still hold
+    # one; the parameters and RNG state it seeded are loaded, so it is ignored
+    cfg_path = _write(tmp_path, TINY_INCREMENTAL)
+    full_out = str(tmp_path / "full")
+    assert main(["run", cfg_path, "--output", full_out]) == 0
+    full = open(os.path.join(full_out, "metrics.csv"), "rb").read()
+
+    cfg_path, out = _checkpointed_out_dir(tmp_path, tasks=1)
+    ckpt = out / "checkpoint.json"
+    blob = json.loads(ckpt.read_text())
+    blob["runner"]["seed"] = 12345
+    ckpt.write_text(json.dumps(blob))
     assert main(["run", cfg_path, "--output", str(out), "--resume"]) == 0
     assert (out / "metrics.csv").read_bytes() == full
 

@@ -207,9 +207,9 @@ def test_final_stage_count_mismatch_rejected():
 def test_final_rejects_targets_of_another_mode_or_batch():
     rng = np.random.default_rng(25)
     t, s = _random_outputs(rng), _random_outputs(rng)
-    with pytest.raises(ContractError):
+    with pytest.raises(ShapeError, match=r"\(2, 9\).*spatial"):
         pod_final(pod_targets(t, PodMode.GAP), s, PodConfig(mode=PodMode.SPATIAL), 1.0)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"\(1, 29\).*expected \(2, 29\)"):
         pod_final(pod_targets(t, PodMode.SPATIAL)[:1], s, PodConfig(), 1.0)
 
 

@@ -17,7 +17,7 @@ from podlearn.protocol import (
     RunConfig,
     TaskSchedule,
     _embed_all,
-    _teacher_targets,
+    _forward_rows,
     adaptive_scale,
     average_incremental_accuracy,
     evaluate,
@@ -368,13 +368,18 @@ def test_embed_all_chunk_size_does_not_change_embeddings():
                         atol=1e-12)
 
 
+def test_embed_all_of_no_rows_is_empty_at_full_width():
+    model = Backbone(BackboneConfig(), seed=3)
+    assert _embed_all(model, np.zeros((0, 3, 8, 8))).shape == (0, 32)
+
+
 def test_cached_teacher_rows_match_a_fresh_teacher_forward():
     cfg = BackboneConfig()
-    teacher = Backbone(cfg, seed=4).clone_frozen()
+    teacher = Backbone(cfg, seed=4)
     student = Backbone(cfg, seed=5)
     rng = np.random.default_rng(32)
     x = rng.normal(size=(150, 3, 8, 8))  # three chunks, the last one partial
-    targets = _teacher_targets(teacher, x, PodConfig().mode)
+    targets = _forward_rows(teacher, x, lambda outs: pod_targets(outs, PodConfig().mode))
     sel = rng.choice(150, size=32, replace=False)
     outs = student.forward_with_stages(Tensor(x[sel]))
     cached = pod_final(targets[sel], outs, PodConfig(), 1.3).item()
@@ -383,27 +388,25 @@ def test_cached_teacher_rows_match_a_fresh_teacher_forward():
     assert cached == pytest.approx(fresh, abs=1e-12)
 
 
-def test_teacher_runs_once_per_task_in_chunks_of_64(monkeypatch):
-    calls = []
-    clone = Backbone.clone_frozen
-
-    def counted_clone(model):
-        teacher = clone(model)
-        forward = teacher.forward_with_stages
-
-        def counted(batch):
-            calls.append(batch.shape[0])
-            return forward(batch)
-
-        teacher.forward_with_stages = counted
-        return teacher
-
-    monkeypatch.setattr(Backbone, "clone_frozen", counted_clone)
+def _two_task_runner():
     ds = generate_synthetic_dataset(
         SyntheticSpec(classes=4, samples_per_class=50, channels=2, width=6, height=6), seed=8
     )
     sched = TaskSchedule.build(4, 2, 2, seed=8)
-    runner = IncrementalRunner(sched, _tiny_config(budget=PerClass(10)), ds, seed=8)
+    return ds, sched, IncrementalRunner(sched, _tiny_config(budget=PerClass(10)), ds, seed=8)
+
+
+def test_teacher_runs_once_per_task_in_chunks_of_64(monkeypatch):
+    import podlearn.protocol as protocol
+
+    calls = []
+
+    def counted(outs, mode):
+        calls.append(outs.embedding.shape[0])
+        return pod_targets(outs, mode)
+
+    monkeypatch.setattr(protocol, "pod_targets", counted)
+    ds, sched, runner = _two_task_runner()
     runner.run_next_task()
     assert calls == []  # no teacher on the first task
     pool = runner.memory.total_stored() + sum(
@@ -413,6 +416,44 @@ def test_teacher_runs_once_per_task_in_chunks_of_64(monkeypatch):
     assert pool > 64  # more than one chunk, and more than one batch per epoch
     assert len(calls) == -(-pool // 64)
     assert sum(calls) == pool
+
+
+def test_targets_are_the_backbone_before_the_task(monkeypatch):
+    # every batch of task 1 distils from the parameters the backbone held
+    # before the task, however far training has moved it since
+    import podlearn.protocol as protocol
+
+    ds, sched, runner = _two_task_runner()
+    runner.run_next_task()
+    saved = {name: t.data.copy() for name, t in runner.backbone.params.items()}
+    inputs, seen = [], []
+    forward = runner.backbone.forward_with_stages
+
+    def recorded(batch):
+        inputs.append(batch.data)
+        return forward(batch)
+
+    def spy(teacher, student, cfg, scale_factor):
+        # pod_final follows the forward of the batch it scores
+        seen.append((inputs[-1], teacher.copy()))
+        return pod_final(teacher, student, cfg, scale_factor)
+
+    runner.backbone.forward_with_stages = recorded
+    monkeypatch.setattr(protocol, "pod_final", spy)
+    pool = runner.memory.total_stored() + sum(
+        ds.train_indices_of(c).size for c in sched.task_classes(1)
+    )
+    runner.run_next_task()
+
+    cfg = runner.config
+    assert len(seen) == cfg.epochs_per_task * -(-pool // cfg.batch_size)
+    moved = max(np.abs(t.data - saved[name]).max() for name, t in runner.backbone.params.items())
+    assert moved > 1e-3
+    teacher = Backbone.from_params(cfg.backbone, saved)
+    for x, targets in seen:
+        with no_grad():
+            want = pod_targets(teacher.forward_with_stages(Tensor(x)), cfg.pod.mode)
+        npt.assert_allclose(targets, want, rtol=0, atol=1e-12)
 
 
 def test_balanced_finetune_flag_recorded_and_runs():
