@@ -1,12 +1,16 @@
 """Experiment configuration: a flat, human-editable ``key = value`` file.
 
-Every key has a typed default; unknown or duplicate keys are rejected, and
-all derived objects (dataset spec, schedule, model and loss configs) are
+Every key has a typed default. A key that a library class also holds
+(``SyntheticSpec``, ``BackboneConfig``, ``PodConfig``, ``RunConfig``) takes
+its default from that class, so each default is written once. Unknown or
+duplicate keys, non-finite floats and negative seeds are rejected, and all
+derived objects (dataset spec, schedule, model and loss configs) are
 constructed up front so a bad file fails before any training starts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .backbone import BackboneConfig
@@ -41,12 +45,26 @@ def _parse_filters(s) -> tuple[int, ...]:
     return out
 
 
-def _caster(default):
-    """The parser of a field, taken from the type of its default value."""
+def _checked(parse, ok, rule: str):
+    """``parse``, then a ``ValueError`` naming ``rule`` unless ``ok(value)``."""
+    def cast(s):
+        v = parse(s)
+        if not ok(v):
+            raise ValueError(f"{rule}, got {v!r}")
+        return v
+    return cast
+
+
+def _caster(name: str, default):
+    """The parser of a field: a seed's, or the one of its default value's type."""
     if isinstance(default, bool):
         return _parse_bool
     if isinstance(default, tuple):
         return _parse_filters
+    if isinstance(default, float):
+        return _checked(float, math.isfinite, "must be a finite number")
+    if name.endswith("seed"):
+        return _checked(int, lambda v: v >= 0, "a seed must be >= 0")
     return type(default)
 
 
@@ -58,7 +76,7 @@ def _cast_fields(raw: dict, defaults: dict, what: str) -> dict:
     values = {}
     for key, value in raw.items():
         try:
-            values[key] = _caster(defaults[key])(value)
+            values[key] = _caster(key, defaults[key])(value)
         except (ValueError, TypeError) as err:
             raise ConfigError(f"field {key}: {err}")
     return values
@@ -71,41 +89,41 @@ class ExperimentConfig:
     output_dir: str = "podlearn_run"
     # dataset: "synthetic", "npz:<path>", or "cifar:<path>"
     dataset: str = "synthetic"
-    classes: int = 10
-    samples_per_class: int = 100
-    channels: int = 3
-    width: int = 8
-    height: int = 8
-    pattern_seed: int = 123
-    noise_sigma: float = 0.3
+    classes: int = SyntheticSpec.classes
+    samples_per_class: int = SyntheticSpec.samples_per_class
+    channels: int = SyntheticSpec.channels
+    width: int = SyntheticSpec.width
+    height: int = SyntheticSpec.height
+    pattern_seed: int = SyntheticSpec.pattern_seed
+    noise_sigma: float = SyntheticSpec.noise_sigma
     # schedule
     initial_task_size: int = 5
     increment: int = 1
     # backbone
-    stage_filters: tuple[int, ...] = (8, 16, 32)
-    blocks_per_stage: int = 1
-    embedding_dim: int = 32
+    stage_filters: tuple[int, ...] = tuple(f for f, _ in BackboneConfig.stages)
+    blocks_per_stage: int = BackboneConfig.stages[0][1]
+    embedding_dim: int = BackboneConfig.embedding_dim
     # distillation
-    pod_mode: str = "spatial"
-    lambda_c: float = 3.0
-    lambda_f: float = 1.0
+    pod_mode: str = PodConfig.mode.value
+    lambda_c: float = PodConfig.lambda_c
+    lambda_f: float = PodConfig.lambda_f
     # classifier
-    proxies_per_class: int = 10
-    margin: float = 0.6
-    eta_init: float = 1.0
-    classifier_loss: str = "nca"
+    proxies_per_class: int = RunConfig.proxies_per_class
+    margin: float = RunConfig.margin
+    eta_init: float = RunConfig.eta_init
+    classifier_loss: str = RunConfig.classifier_loss
     # rehearsal memory
     memory_mode: str = "per_class"  # "per_class" caps each class, "total" shares a pool
-    memory_per_class: int = 20
+    memory_per_class: int = RunConfig.budget.m
     memory_total: int = 2000
     # optimizer
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    epochs_per_task: int = 60
-    batch_size: int = 32
-    balanced_finetune: bool = False
-    finetune_epochs: int = 10
-    finetune_lr: float = 0.005
+    learning_rate: float = RunConfig.learning_rate
+    momentum: float = RunConfig.momentum
+    epochs_per_task: int = RunConfig.epochs_per_task
+    batch_size: int = RunConfig.batch_size
+    balanced_finetune: bool = RunConfig.balanced_finetune
+    finetune_epochs: int = RunConfig.finetune_epochs
+    finetune_lr: float = RunConfig.finetune_lr
 
     # -- construction ---------------------------------------------------------
 
@@ -159,16 +177,13 @@ class ExperimentConfig:
             return (3, 32, 32)
         return (self.channels, self.width, self.height)
 
+    def _same_named(self, cls) -> dict:
+        """This config's values for the fields of ``cls`` it holds under the same name."""
+        names = {f.name for f in fields(self)}
+        return {f.name: getattr(self, f.name) for f in fields(cls) if f.name in names}
+
     def synthetic_spec(self) -> SyntheticSpec:
-        return SyntheticSpec(
-            classes=self.classes,
-            samples_per_class=self.samples_per_class,
-            channels=self.channels,
-            width=self.width,
-            height=self.height,
-            pattern_seed=self.pattern_seed,
-            noise_sigma=self.noise_sigma,
-        )
+        return SyntheticSpec(**self._same_named(SyntheticSpec))
 
     def schedule(self) -> TaskSchedule:
         return TaskSchedule.build(self.classes, self.initial_task_size, self.increment, self.seed)
@@ -185,46 +200,28 @@ class ExperimentConfig:
             mode = PodMode(self.pod_mode)
         except ValueError:
             raise ContractError(f"unknown pod_mode {self.pod_mode!r}")
-        return PodConfig(lambda_c=self.lambda_c, lambda_f=self.lambda_f, mode=mode)
+        return PodConfig(mode=mode, **self._same_named(PodConfig))
 
     def backbone_config(self, input_shape: tuple[int, int, int]) -> BackboneConfig:
-        return BackboneConfig(
-            input_shape=input_shape,
-            stages=tuple((f, self.blocks_per_stage) for f in self.stage_filters),
-            embedding_dim=self.embedding_dim,
-        )
+        stages = tuple((f, self.blocks_per_stage) for f in self.stage_filters)
+        return BackboneConfig(input_shape=input_shape, stages=stages,
+                              **self._same_named(BackboneConfig))
 
     def run_config(self, input_shape: tuple[int, int, int]) -> RunConfig:
-        return RunConfig(
-            backbone=self.backbone_config(input_shape),
-            pod=self.pod_config(),
-            proxies_per_class=self.proxies_per_class,
-            margin=self.margin,
-            eta_init=self.eta_init,
-            classifier_loss=self.classifier_loss,
-            budget=self.budget(),
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            epochs_per_task=self.epochs_per_task,
-            batch_size=self.batch_size,
-            balanced_finetune=self.balanced_finetune,
-            finetune_epochs=self.finetune_epochs,
-            finetune_lr=self.finetune_lr,
-        )
+        return RunConfig(backbone=self.backbone_config(input_shape), pod=self.pod_config(),
+                         budget=self.budget(), **self._same_named(RunConfig))
 
     def load_data(self) -> Dataset:
         if self.dataset == "synthetic":
             return generate_synthetic_dataset(self.synthetic_spec(), seed=self.seed)
-        if self.dataset.startswith("npz:"):
-            try:
-                return load_dataset(self.dataset[len("npz:"):])
-            except (OSError, FormatError) as err:
-                raise ConfigError(f"dataset: {err}")
-        if self.dataset.startswith("cifar:"):
-            try:
-                return ingest_cifar_binary(self.dataset[len("cifar:"):], classes=self.classes)
-            except (OSError, FormatError) as err:
-                raise ConfigError(f"dataset: {err}")
+        kind, _, path = self.dataset.partition(":")
+        try:
+            if kind == "npz":
+                return load_dataset(path)
+            if kind == "cifar":
+                return ingest_cifar_binary(path, classes=self.classes)
+        except (OSError, FormatError) as err:
+            raise ConfigError(f"dataset: {err}")
         raise ConfigError(f"unsupported dataset {self.dataset!r}")
 
 

@@ -38,6 +38,8 @@ class SyntheticSpec:
             raise ContractError("need >= 2 samples per class for a train/test split")
         if min(self.channels, self.width, self.height) < 1:
             raise ContractError("degenerate image shape")
+        if self.pattern_seed < 0:
+            raise ContractError(f"pattern_seed must be >= 0, got {self.pattern_seed}")
         if self.noise_sigma < 0:
             raise ContractError(f"noise sigma must be >= 0, got {self.noise_sigma}")
 

@@ -121,9 +121,9 @@ class RunConfig:
     def __post_init__(self):
         if self.classifier_loss not in ("nca", "ce"):
             raise ContractError(f"unknown classifier_loss {self.classifier_loss!r}")
-        if self.learning_rate <= 0 or not (0 <= self.momentum < 1):
+        if self.learning_rate <= 0 or self.finetune_lr <= 0 or not (0 <= self.momentum < 1):
             raise ContractError("bad optimizer settings")
-        if self.epochs_per_task < 1 or self.batch_size < 1:
+        if self.epochs_per_task < 1 or self.finetune_epochs < 1 or self.batch_size < 1:
             raise ContractError("bad training settings")
 
 

@@ -1,13 +1,20 @@
 import json
 import os
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from podlearn.backbone import BackboneConfig
 from podlearn.cli import main
 from podlearn.config import ExperimentConfig, parse_keyvalue, parse_synthetic_spec
-from podlearn.datasets import load_dataset
+from podlearn.datasets import SyntheticSpec, load_dataset
 from podlearn.errors import ConfigError
+from podlearn.memory import PerClass
+from podlearn.pod import PodConfig
+from podlearn.protocol import RunConfig
 
 TINY_CONFIG = """
 # tiny smoke experiment
@@ -103,6 +110,46 @@ def test_paper_hyperparameters_are_defaults():
     assert cfg.pod_mode == "spatial"
 
 
+def test_non_finite_floats_rejected_naming_the_key():
+    float_keys = [f.name for f in fields(ExperimentConfig) if isinstance(f.default, float)]
+    assert len(float_keys) == 8
+    for key in float_keys:
+        for bad in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"^field {key}: must be a finite number"):
+                ExperimentConfig.from_text(f"{key} = {bad}")
+            with pytest.raises(ConfigError, match=f"^field {key}: must be a finite number"):
+                ExperimentConfig.from_dict({key: float(bad)})
+    for bad in ("nan", "inf"):
+        with pytest.raises(ConfigError, match="^field noise_sigma: must be a finite number"):
+            parse_synthetic_spec(f"noise_sigma = {bad}")
+
+
+def test_negative_seeds_rejected_naming_the_key():
+    for key in ("seed", "pattern_seed"):
+        with pytest.raises(ConfigError, match=f"^field {key}: a seed must be >= 0, got -1$"):
+            ExperimentConfig.from_text(f"{key} = -1")
+        with pytest.raises(ConfigError, match=f"^field {key}: a seed must be >= 0, got -2$"):
+            parse_synthetic_spec(f"{key} = -2")
+    assert ExperimentConfig.from_text("seed = 0\npattern_seed = 0").pattern_seed == 0
+
+
+def test_defaults_come_from_the_library_classes():
+    cfg = ExperimentConfig()
+    assert cfg.synthetic_spec() == SyntheticSpec()
+    assert cfg.pod_config() == PodConfig()
+    assert cfg.backbone_config((3, 8, 8)) == BackboneConfig()
+    assert cfg.run_config((3, 8, 8)) == RunConfig()
+    assert cfg.budget() == RunConfig().budget == PerClass(cfg.memory_per_class)
+
+
+def test_readme_config_block_is_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Config format", 1)[1]
+    block = re.search(r"```ini\n(.*?)```", section, re.S).group(1)
+    assert list(parse_keyvalue(block)) == [f.name for f in fields(ExperimentConfig)]
+    assert ExperimentConfig.from_text(block) == ExperimentConfig()
+
+
 def test_synthetic_spec_parsing():
     spec, seed = parse_synthetic_spec("classes = 3\nsamples_per_class = 10\nseed = 7")
     assert spec.classes == 3
@@ -162,6 +209,18 @@ def test_run_invalid_config_exits_one(tmp_path, capsys):
     cfg_path = _write(tmp_path, "epochs_per_task = never")
     assert main(["run", cfg_path, "--output", str(tmp_path / "o")]) == 1
     assert "epochs_per_task" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["eta_init = inf", "learning_rate = nan", "seed = -1",
+                                  "pattern_seed = -1"])
+def test_run_bad_number_exits_one_before_any_data(tmp_path, capsys, text):
+    cfg_path = _write(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["run", cfg_path, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: field {text.split(' ')[0]}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_run_missing_config_exits_one(tmp_path):
@@ -321,6 +380,14 @@ def test_generate_writes_loadable_dataset(tmp_path):
 def test_generate_bad_spec_exits_one(tmp_path):
     spec_path = _write(tmp_path, "classes = one", "spec.cfg")
     assert main(["generate", spec_path, str(tmp_path / "d.npz")]) == 1
+
+
+def test_generate_negative_seed_exits_one(tmp_path, capsys):
+    spec_path = _write(tmp_path, "classes = 3\nseed = -2", "spec.cfg")
+    out = tmp_path / "d.npz"
+    assert main(["generate", spec_path, str(out)]) == 1
+    assert capsys.readouterr().err == "config error: field seed: a seed must be >= 0, got -2\n"
+    assert not out.exists()
 
 
 def test_run_from_generated_npz(tmp_path):

@@ -23,6 +23,8 @@ def test_spec_validation():
         SyntheticSpec(noise_sigma=-0.1)
     with pytest.raises(ContractError):
         SyntheticSpec(width=0)
+    with pytest.raises(ContractError, match="pattern_seed must be >= 0, got -1"):
+        SyntheticSpec(pattern_seed=-1)
 
 
 def test_split_is_80_20_per_class():

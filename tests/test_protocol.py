@@ -574,6 +574,14 @@ def test_run_config_validation():
         _tiny_config(learning_rate=0.0)
     with pytest.raises(ContractError):
         _tiny_config(momentum=1.0)
+    # a finetune lr <= 0 would run gradient ascent on the proxies, and fewer
+    # than 1 finetune epoch would skip the finetune without a word
+    for kw, message in ((dict(finetune_lr=-1.0), "bad optimizer settings"),
+                        (dict(finetune_lr=0.0), "bad optimizer settings"),
+                        (dict(finetune_epochs=-3), "bad training settings"),
+                        (dict(finetune_epochs=0), "bad training settings")):
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            _tiny_config(balanced_finetune=True, **kw)
 
 
 def test_sgd_momentum_and_weight_decay_hand_steps():
