@@ -115,6 +115,9 @@ def cmd_generate(args) -> int:
     try:
         dataset = generate_synthetic_dataset(spec, seed=seed)
         save_dataset(dataset, args.out)
+    except ContractError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 1
     except (OSError, PodlearnError) as err:
         print(f"runtime failure: {err}", file=sys.stderr)
         return 2

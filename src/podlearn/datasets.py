@@ -115,8 +115,18 @@ def dataset_from_templates(templates: np.ndarray, spec: SyntheticSpec, seed: int
 
 
 def generate_synthetic_dataset(spec: SyntheticSpec, seed: int = 0) -> Dataset:
-    """Seeded synthetic benchmark: shared-basis templates plus pixel noise."""
-    return dataset_from_templates(class_templates(spec), spec, seed)
+    """Seeded synthetic benchmark: shared-basis templates plus pixel noise.
+
+    Raises ``ContractError`` when a sample is not finite, as when
+    ``noise_sigma`` is so large that the noise overflows.
+    """
+    with np.errstate(over="ignore"):
+        ds = dataset_from_templates(class_templates(spec), spec, seed)
+    for name in ("train_x", "test_x"):
+        if not np.isfinite(getattr(ds, name)).all():
+            raise ContractError(f"synthetic dataset: field {name} holds non-finite values "
+                                f"(noise_sigma={spec.noise_sigma!r})")
+    return ds
 
 
 def _read_cifar_records(path: str) -> tuple[np.ndarray, np.ndarray]:

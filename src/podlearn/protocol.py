@@ -123,6 +123,12 @@ class RunConfig:
             raise ContractError(f"unknown classifier_loss {self.classifier_loss!r}")
         if self.learning_rate <= 0 or self.finetune_lr <= 0 or not (0 <= self.momentum < 1):
             raise ContractError("bad optimizer settings")
+        if self.proxies_per_class < 1:
+            raise ContractError(f"proxies_per_class must be >= 1, got {self.proxies_per_class}")
+        if not self.eta_init > 0:
+            raise ContractError(f"eta_init must be > 0, got {self.eta_init}")
+        if not self.margin >= 0:
+            raise ContractError(f"margin must be >= 0, got {self.margin}")
         if self.epochs_per_task < 1 or self.finetune_epochs < 1 or self.batch_size < 1:
             raise ContractError("bad training settings")
 

@@ -9,6 +9,7 @@ finite at creation and after every primitive.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,7 +68,8 @@ class Tensor:
         """Reverse-mode sweep from a scalar seed.
 
         Accumulates ``d(self)/d(leaf)`` into ``leaf.grad`` for every
-        ``requires_grad`` tensor reachable through the recorded graph.
+        ``requires_grad`` leaf (a tensor no primitive produced) reachable
+        through the recorded graph; intermediate results keep ``grad=None``.
         Repeated calls without clearing grads keep accumulating.
         """
         if self.data.size != 1:
@@ -80,11 +82,11 @@ class Tensor:
             g = adjoint.pop(id(node), None)
             if g is None:
                 continue
-            if node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
             if node._vjp is None:
+                if node.requires_grad:
+                    if node.grad is None:
+                        node.grad = np.zeros_like(node.data)
+                    node.grad += g
                 continue
             for parent, pg in zip(node._parents, node._vjp(g)):
                 if pg is None:
@@ -224,8 +226,7 @@ def square(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _make(np.where(mask, a.data, 0.0), "relu", (a,), lambda g: (g * mask,))
+    return _make(np.maximum(a.data, 0.0), "relu", (a,), lambda g: (g * (a.data > 0),))
 
 
 def log(a: Tensor) -> Tensor:
@@ -372,6 +373,22 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 # -- spatial primitives --------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _scatter_map(Cin: int, Wp: int, Hp: int, KW: int, KH: int, s: int,
+                 Wo: int, Ho: int) -> np.ndarray:
+    """Flat index into one padded (Cin, Wp, Hp) sample of each column entry.
+
+    Shape (Cin, KW, KH, 1, Wo, Ho): entry (c, u, v, 0, i, j) is the pixel
+    (c, u + s*i, v + s*j) that kernel offset (u, v) of output (i, j) reads.
+    Keyed by layer geometry only, so one map serves every batch size; the
+    array is read-only because every call with that geometry shares it.
+    """
+    c, u, v, i, j = np.ogrid[:Cin, :KW, :KH, :Wo, :Ho]
+    index = ((c * Wp + u + s * i) * Hp + v + s * j)[:, :, :, None]
+    index.setflags(write=False)
+    return index
+
+
 def conv2d(
     x: Tensor,
     w: Tensor,
@@ -382,10 +399,14 @@ def conv2d(
     """2-D convolution over (B, C, W, H) inputs with zero padding.
 
     Unrolled (im2col) form: every receptive field becomes one column of a
-    (Cin*KW*KH, B*Wo*Ho) matrix, so the forward pass and the weight gradient
-    are one GEMM each. The input gradient is one GEMM back to columns, folded
-    onto the padded input with one strided add per kernel offset; it is
-    skipped when ``x`` takes no gradient (a network's input batch).
+    (Cin*KW*KH, B*Wo*Ho) matrix, copied out of one strided view of the padded
+    input, so the forward pass and the weight gradient are one GEMM each. The
+    input gradient is one GEMM back to columns, scattered onto the padded
+    input by one ``np.bincount`` through :func:`_scatter_map`. bincount adds
+    each pixel's contributions in column order, kernel offset (u, v) by
+    offset from zero, as a loop of strided adds per offset would. The input
+    gradient is skipped when ``x`` takes no gradient (a network's input
+    batch).
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError("conv2d", f"expected 4-D input/kernel, got {x.shape}, {w.shape}")
@@ -403,12 +424,14 @@ def conv2d(
     if Wo < 1 or Ho < 1:
         raise ShapeError("conv2d", f"kernel {KW}x{KH} too large for {W}x{H} (pad {p})")
 
-    padded_shape = (W + 2 * p, H + 2 * p)
-    xp = np.zeros((B, Cin, *padded_shape))
+    Wp, Hp = W + 2 * p, H + 2 * p
+    xp = np.zeros((B, Cin, Wp, Hp))
     xp[:, :, p : p + W, p : p + H] = x.data
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (KW, KH), axis=(2, 3))
+    sb, sc, sw, sh = xp.strides
     # rows (c, u, v) in the order of w's trailing axes, columns (b, i, j)
-    cols = windows[:, :, ::s, ::s].transpose(1, 4, 5, 0, 2, 3).reshape(Cin * KW * KH, -1)
+    windows = np.ndarray((Cin, KW, KH, B, Wo, Ho), xp.dtype, xp,
+                         strides=(sc, sw, sh, sb, s * sw, s * sh))
+    cols = windows.reshape(Cin * KW * KH, -1)
     wmat = w.data.reshape(Cout, -1)
     y = (wmat @ cols).reshape(Cout, B, Wo, Ho)
     if bias is not None:
@@ -422,12 +445,12 @@ def conv2d(
         gw = (g2 @ cols.T).reshape(w.shape)
         gx = None
         if x.requires_grad:
-            gcols = (wmat.T @ g2).reshape(Cin, KW, KH, B, Wo, Ho)
-            gxp = np.zeros((Cin, B, *padded_shape))
-            for u in range(KW):
-                for v in range(KH):
-                    gxp[:, :, u : u + s * Wo : s, v : v + s * Ho : s] += gcols[:, u, v]
-            gx = gxp[:, :, p : p + W, p : p + H].transpose(1, 0, 2, 3)
+            sample = Cin * Wp * Hp
+            target = (_scatter_map(Cin, Wp, Hp, KW, KH, s, Wo, Ho)
+                      + np.arange(0, B * sample, sample)[:, None, None])
+            gxp = np.bincount(target.ravel(), weights=(wmat.T @ g2).ravel(),
+                              minlength=B * sample).reshape(B, Cin, Wp, Hp)
+            gx = gxp[:, :, p : p + W, p : p + H]
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))

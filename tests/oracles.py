@@ -1,12 +1,15 @@
 """Independent reference implementations used to cross-check the library.
 
-Everything here is written as literal index loops over Python floats, on
-purpose: these functions restate the definitions directly and share no code
-with the package.
+Almost everything here is written as literal index loops over Python floats,
+on purpose: these functions restate the definitions directly and share no
+code with the package. :func:`conv2d_loop` is the exception, a numpy
+im2col/col2im convolution kept as the bitwise reference for the engine's.
 """
 
 import itertools
 import math
+
+import numpy as np
 
 
 def pooled_vector(x, mode):
@@ -31,6 +34,39 @@ def pooled_vector(x, mode):
             sum(x[c][w][h] for h in range(H)) for c in range(C) for w in range(W)
         ]
     raise ValueError(mode)
+
+
+def conv2d_loop(x, w, b, g, stride, padding):
+    """Convolution output and its gradients, by im2col and a col2im loop.
+
+    ``x`` is (B, Cin, W, H), ``w`` (Cout, Cin, KW, KH), ``b`` (Cout,) and
+    ``g`` the gradient on the output. Returns ``(out, gx, gw, gb)``. The
+    input gradient adds each kernel offset's column gradients onto the padded
+    input with one strided add per offset (u, v), in (u, v) order.
+    """
+    B, Cin, W, H = x.shape
+    Cout, _, KW, KH = w.shape
+    s, p = stride, padding
+    Wo = (W + 2 * p - KW) // s + 1
+    Ho = (H + 2 * p - KH) // s + 1
+    xp = np.zeros((B, Cin, W + 2 * p, H + 2 * p))
+    xp[:, :, p : p + W, p : p + H] = x
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (KW, KH), axis=(2, 3))
+    cols = windows[:, :, ::s, ::s].transpose(1, 4, 5, 0, 2, 3).reshape(Cin * KW * KH, -1)
+    wmat = w.reshape(Cout, -1)
+    y = (wmat @ cols).reshape(Cout, B, Wo, Ho)
+    y += b[:, None, None, None]
+    out = np.ascontiguousarray(y.transpose(1, 0, 2, 3))
+
+    g2 = g.transpose(1, 0, 2, 3).reshape(Cout, -1)
+    gw = (g2 @ cols.T).reshape(w.shape)
+    gcols = (wmat.T @ g2).reshape(Cin, KW, KH, B, Wo, Ho)
+    gxp = np.zeros((Cin, B, W + 2 * p, H + 2 * p))
+    for u in range(KW):
+        for v in range(KH):
+            gxp[:, :, u : u + s * Wo : s, v : v + s * Ho : s] += gcols[:, u, v]
+    gx = gxp[:, :, p : p + W, p : p + H].transpose(1, 0, 2, 3)
+    return out, gx, gw, g.sum(axis=(0, 2, 3))
 
 
 def _normalized(v, eps=1e-8):

@@ -98,6 +98,29 @@ def test_gradients_through_whole_training_graph_into_conv_weight():
     assert gradient_check(composite, point, eps=1e-5) <= 1e-4
 
 
+def test_backward_leaves_grads_on_leaves_only():
+    # one distillation step's graph at the default geometry: the parameters
+    # (leaves) receive .grad, no intermediate result does
+    cfg = BackboneConfig()
+    student = Backbone(cfg, seed=1)
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.normal(size=(4, *cfg.input_shape)))
+    targets = pod_targets(Backbone(cfg, seed=2).forward_with_stages(x), PodConfig().mode)
+    bank = ProxyBank(cfg.embedding_dim, 2)
+    for _ in range(3):
+        bank.add_class(rng.normal(size=(2, cfg.embedding_dim)))
+    outs = student.forward_with_stages(x)
+    scores = lsc_scores(outs.embedding, bank)
+    cls = nca_hinge_loss(scores, np.array([0, 2, 1, 0]), bank.eta, bank.delta)
+    pod = pod_final(targets, outs, PodConfig(), 1.5)
+    loss = cls + pod
+    loss.backward()
+    for t in [*outs.stage_maps, outs.embedding, scores, cls, pod, loss]:
+        assert t.requires_grad and t.grad is None
+    for p in student.parameters() + bank.parameters():
+        assert p.grad is not None and p.grad.shape == p.shape
+
+
 def test_last_stage_map_attains_negative_values():
     rng = np.random.default_rng(1)
     model = _default()

@@ -223,6 +223,35 @@ def test_run_bad_number_exits_one_before_any_data(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("proxies_per_class = 0", "proxies_per_class must be >= 1, got 0"),
+    ("eta_init = 0.0", "eta_init must be > 0, got 0.0"),
+    ("eta_init = -1.5", "eta_init must be > 0, got -1.5"),
+    ("margin = -0.1", "margin must be >= 0, got -0.1"),
+])
+def test_classifier_settings_checked_by_validate(text, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        ExperimentConfig.from_text(text)
+    assert ExperimentConfig.from_text("proxies_per_class = 1\nmargin = 0.0").margin == 0.0
+
+
+def test_run_zero_proxies_exits_one_before_the_output_directory(tmp_path, capsys):
+    cfg_path = _write(tmp_path, "proxies_per_class = 0")
+    out = tmp_path / "o"
+    assert main(["run", cfg_path, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "config error: proxies_per_class must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+def test_run_overflowing_synthetic_noise_is_a_config_error(tmp_path, capsys):
+    cfg_path = _write(tmp_path, TINY_CONFIG + "noise_sigma = 1e308\n")
+    assert main(["run", cfg_path, "--output", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: synthetic dataset: field train_x holds non-finite values")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o" / "metrics.csv").exists()
+
+
 def test_run_missing_config_exits_one(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 1
 
@@ -387,6 +416,15 @@ def test_generate_negative_seed_exits_one(tmp_path, capsys):
     out = tmp_path / "d.npz"
     assert main(["generate", spec_path, str(out)]) == 1
     assert capsys.readouterr().err == "config error: field seed: a seed must be >= 0, got -2\n"
+    assert not out.exists()
+
+
+def test_generate_overflowing_noise_exits_one(tmp_path, capsys):
+    spec_path = _write(tmp_path, "classes = 3\nnoise_sigma = 1e308", "spec.cfg")
+    out = tmp_path / "d.npz"
+    assert main(["generate", spec_path, str(out)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "config error: synthetic dataset: field train_x holds non-finite values")
     assert not out.exists()
 
 

@@ -6,9 +6,10 @@ from podlearn.backbone import StageOutputs
 from podlearn.errors import ContractError, ShapeError
 from podlearn.gradcheck import gradient_check
 from podlearn.pod import PodConfig, PodMode, pod_final, pod_flat, pod_pooled, pod_targets
+from podlearn.pod import _pooled, _pooling_matrix
 from podlearn.tensor import Tensor
 
-from oracles import pod_final_oracle, pod_flat_oracle, pod_pooled_oracle
+from oracles import pod_final_oracle, pod_flat_oracle, pod_pooled_oracle, pooled_vector
 
 MODES = [PodMode.PIXEL, PodMode.CHANNEL, PodMode.GAP, PodMode.WIDTH,
          PodMode.HEIGHT, PodMode.SPATIAL]
@@ -48,6 +49,49 @@ def test_matches_scalar_oracle(mode):
         got = pod_pooled(Tensor(a), Tensor(b), mode).item()
         want = pod_pooled_oracle(a.tolist(), b.tolist(), mode.value)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+# the backbone's stage geometries, then odd and non-square ones
+POOL_SHAPES = [(2, 3, 8, 8), (2, 5, 4, 4), (3, 4, 2, 2), (2, 3, 5, 7), (1, 1, 6, 9)]
+
+
+def _loop_pooled(sq, mode):
+    """Per-sample pooled rows of ``sq`` by the loop reference, one array per group."""
+    groups = ("width", "height") if mode is PodMode.SPATIAL else (mode.value,)
+    return [np.array([pooled_vector(s.tolist(), g) for s in sq]) for g in groups]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pooled_rows_bitwise_equal_the_loop_reference_on_exact_sums(mode):
+    # squares of small integers sum exactly in any order, so every pooled row
+    # must match the loop's to the last bit whatever order numpy or BLAS uses
+    rng = np.random.default_rng(5)
+    for shape in POOL_SHAPES:
+        sq = rng.integers(-7, 8, size=shape).astype(float) ** 2
+        got, want = _pooled(sq, mode), _loop_pooled(sq, mode)
+        assert len(got) == len(want)
+        for g, ref in zip(got, want):
+            assert g.reshape(shape[0], -1).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pooled_rows_match_the_loop_reference_on_random_maps(mode):
+    # general floats: the summation order is numpy's or the BLAS kernel's
+    rng = np.random.default_rng(6)
+    for shape in POOL_SHAPES:
+        sq = rng.normal(size=shape) ** 2
+        for g, ref in zip(_pooled(sq, mode), _loop_pooled(sq, mode)):
+            npt.assert_allclose(g.reshape(shape[0], -1), ref, rtol=1e-14, atol=0)
+
+
+def test_pooling_matrix_is_cached_read_only_and_pools_both_axes():
+    pool = _pooling_matrix(3, 2)
+    assert pool is _pooling_matrix(3, 2)
+    with pytest.raises(ValueError):
+        pool[0, 0] = 2.0
+    # pixel (w, h) is row 2w + h; columns: width pools h = 0, 1, height pools w = 0, 1, 2
+    npt.assert_array_equal(pool, [[1, 0, 1, 0, 0], [0, 1, 1, 0, 0], [1, 0, 0, 1, 0],
+                                  [0, 1, 0, 1, 0], [1, 0, 0, 0, 1], [0, 1, 0, 0, 1]])
 
 
 def test_spatial_is_exactly_width_plus_height():

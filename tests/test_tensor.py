@@ -25,11 +25,18 @@ from podlearn.tensor import (
     transpose,
     tsum,
 )
+from podlearn.tensor import _scatter_map
+
+from oracles import conv2d_loop
 
 
 def test_relu_definition():
     out = relu(Tensor([-1.0, 0.0, 2.0]))
     npt.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+    # bitwise the masked select, signed zeros included
+    a = np.random.default_rng(0).normal(size=(4, 3, 5, 6))
+    a.reshape(-1)[:6] = [0.0, -0.0, 0.0, -0.0, 1e-300, -1e-300]
+    assert relu(Tensor(a)).data.tobytes() == np.where(a > 0, a, 0.0).tobytes()
 
 
 def test_l2_normalize_345_triangle():
@@ -83,6 +90,39 @@ def test_conv2d_matches_manual_loop():
                     patch = xp[bi, :, 2 * i : 2 * i + 3, 2 * j : 2 * j + 3]
                     expected[bi, o, i, j] = (patch * w[o]).sum() + b[o]
     npt.assert_allclose(out, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch", [1, 33])
+@pytest.mark.parametrize("stride, padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+@pytest.mark.parametrize("x_dims, w_shape", [((1, 7, 5), (4, 1, 3, 3)),
+                                             ((3, 6, 9), (2, 3, 3, 2))])
+def test_conv2d_bitwise_equals_the_col2im_loop(batch, stride, padding, x_dims, w_shape):
+    rng = np.random.default_rng(batch + 10 * stride + padding)
+    x_val = rng.normal(size=(batch, *x_dims))
+    w_val, b_val = rng.normal(size=w_shape), rng.normal(size=w_shape[0])
+    x, w, b = (Tensor(v, requires_grad=True) for v in (x_val, w_val, b_val))
+    out = conv2d(x, w, b, stride=stride, padding=padding)
+    g = rng.normal(size=out.shape)
+    tsum(mul(out, Tensor(g))).backward()
+    want = conv2d_loop(x_val, w_val, b_val, g, stride, padding)
+    for got, ref in zip((out.data, x.grad, w.grad, b.grad), want):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_conv2d_scatter_map_cached_per_geometry_and_read_only():
+    _scatter_map.cache_clear()
+    rng = np.random.default_rng(4)
+    w = Tensor(rng.normal(size=(4, 2, 3, 3)))
+    for batch in range(1, 71):
+        x = Tensor(rng.normal(size=(batch, 2, 6, 6)), requires_grad=True)
+        tsum(conv2d(x, w, stride=2, padding=1)).backward()
+        assert x.grad.shape == x.shape
+    info = _scatter_map.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 69)
+    index = _scatter_map(2, 8, 8, 3, 3, 2, 3, 3)
+    assert _scatter_map.cache_info().currsize == 1
+    with pytest.raises(ValueError):
+        index[0, 0, 0, 0, 0, 0] = 0
 
 
 def test_softmax_rows_sum_to_one():
