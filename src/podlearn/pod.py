@@ -6,12 +6,13 @@ teacher; more pooling leaves it freer to reorganize. Pipeline per sample:
 square elementwise, sum over the pooled axes, flatten, L2-normalize the
 pooled vector, then squared Euclidean distance; batches are averaged.
 
-Width and height pooling share one GEMM per stage map: the squared map,
-flattened to (B*C, W*H), times a cached 0/1 pooling matrix of shape
-(W*H, H+W). Its first H columns sum over the width axis, its last W columns
-over the height axis, so WIDTH, HEIGHT and SPATIAL read their groups from
-the same product, and the vjp is one GEMM with the matrix's transpose.
-PIXEL, CHANNEL and GAP sum their axes directly.
+Width and height pooling each read the squared map once, with work
+proportional to its W*H pixels whatever the map size: width pooling is one
+``einsum`` that adds the rows in index order (bitwise the axis sum), and
+height pooling is one matrix-vector product of the (B*C*W, H) map with a
+ones vector, so BLAS picks its summation order (within a few ulp of the
+axis sum). SPATIAL reads both from the same two calls, so its loss is
+exactly WIDTH's plus HEIGHT's. PIXEL, CHANNEL and GAP sum their axes directly.
 
 Each loss is one autodiff primitive: its forward runs that pipeline in
 numpy, and a hand-written vjp returns the gradient of each input that takes
@@ -23,7 +24,6 @@ student forward against it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -54,8 +54,6 @@ _POOLED_AXES = {
     PodMode.HEIGHT: ((3,),),
     PodMode.SPATIAL: ((2,), (3,)),
 }
-# Modes whose groups are column blocks of one product with the pooling matrix.
-_MATRIX_POOLED = (PodMode.WIDTH, PodMode.HEIGHT, PodMode.SPATIAL)
 
 
 @dataclass(frozen=True)
@@ -73,34 +71,18 @@ class PodConfig:
                 raise ContractError(f"PodConfig.{name} must be finite and >= 0, got {v}")
 
 
-@functools.lru_cache(maxsize=64)
-def _pooling_matrix(W: int, H: int) -> np.ndarray:
-    """Read-only 0/1 (W*H, H+W) matrix pooling a flattened (W, H) map.
-
-    Column h sums pixel (w, h) over w (width pooling); column H + w sums it
-    over h (height pooling).
-    """
-    pixel = np.arange(W * H)
-    pool = np.zeros((W * H, H + W))
-    pool[pixel, pixel % H] = 1.0
-    pool[pixel, H + pixel // H] = 1.0
-    pool.setflags(write=False)
-    return pool
-
-
-def _block(axes: tuple[int, ...], H: int) -> slice:
-    """Columns of the pooling matrix that sum away ``axes``: width (2,) or height (3,)."""
-    return slice(0, H) if axes == (2,) else slice(H, None)
+def _axis_sum(sq: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """The squared (B, C, W, H) map ``sq`` summed over ``axes``."""
+    if axes == (2,):
+        return np.einsum("bcwh->bch", sq)
+    if axes == (3,):
+        return (sq.reshape(-1, sq.shape[3]) @ np.ones(sq.shape[3])).reshape(sq.shape[:3])
+    return sq.sum(axis=axes)
 
 
 def _pooled(sq: np.ndarray, mode: PodMode) -> list[np.ndarray]:
     """The squared map summed over each axis group of ``mode``."""
-    axes_groups = _POOLED_AXES[mode]
-    if mode not in _MATRIX_POOLED:
-        return [sq.sum(axis=axes) for axes in axes_groups]
-    B, C, W, H = sq.shape
-    wh = (sq.reshape(B * C, W * H) @ _pooling_matrix(W, H)).reshape(B, C, H + W)
-    return [wh[:, :, _block(axes, H)] for axes in axes_groups]
+    return [_axis_sum(sq, axes) for axes in _POOLED_AXES[mode]]
 
 
 def _unit_groups(x: np.ndarray, mode: PodMode) -> list[tuple]:
@@ -110,19 +92,11 @@ def _unit_groups(x: np.ndarray, mode: PodMode) -> list[tuple]:
 
 def _unit_groups_vjp(x: np.ndarray, mode: PodMode, groups, grads) -> np.ndarray:
     """Gradient into the map ``x`` from gradients on its unit pooled rows."""
-    axes_groups = _POOLED_AXES[mode]
-    pooled_grads = [unit_vectors_vjp(g, y, alive, safe)
-                    for (y, alive, safe), g in zip(groups, grads)]
-    B, C, W, H = x.shape
-    if mode in _MATRIX_POOLED:
-        gwh = np.zeros((B, C, H + W))
-        for axes, g in zip(axes_groups, pooled_grads):
-            gwh[:, :, _block(axes, H)] = g.reshape(B, C, -1)
-        total = (gwh.reshape(B * C, H + W) @ _pooling_matrix(W, H).T).reshape(x.shape)
-    else:
-        (axes,), (g,) = axes_groups, pooled_grads
+    total = None
+    for axes, (y, alive, safe), g in zip(_POOLED_AXES[mode], groups, grads):
         pooled = tuple(n for i, n in enumerate(x.shape) if i not in axes)
-        total = np.broadcast_to(np.expand_dims(g.reshape(pooled), axes), x.shape)
+        g = np.expand_dims(unit_vectors_vjp(g, y, alive, safe).reshape(pooled), axes)
+        total = g if total is None else total + g
     return 2.0 * x * total
 
 
