@@ -1,6 +1,6 @@
 """Pooled-feature distillation losses between teacher and student activations.
 
-Each loss compares a pair of stage maps (B, C, W, H) after summing over a
+Each loss compares stage maps (B, C, W, H) after summing over a
 mode-specific subset of axes. Less pooling pins the student harder to the
 teacher; more pooling leaves it freer to reorganize. Pipeline per sample:
 square elementwise, sum over the pooled axes, flatten, L2-normalize the
@@ -14,12 +14,23 @@ ones vector, so BLAS picks its summation order (within a few ulp of the
 axis sum). SPATIAL reads both from the same two calls, so its loss is
 exactly WIDTH's plus HEIGHT's. PIXEL, CHANNEL and GAP sum their axes directly.
 
-Each loss is one autodiff primitive: its forward runs that pipeline in
-numpy, and a hand-written vjp returns the gradient of each input that takes
-one. The teacher is frozen for a whole task, so its half of the pipeline can
-be run once: :func:`pod_targets` reduces a teacher forward to one row matrix
-of unit pooled rows and the unit embedding, and :func:`pod_final` compares a
-student forward against it.
+One function, :func:`_rows`, lays a forward out as a (B, F) row matrix of
+segments side by side: each stage map pooled over each axis group of the
+mode, in ``_POOLED_AXES`` order, then the embedding. Every segment is
+L2-normalized on its own: one ``np.add.reduceat`` over the segment starts
+takes all the norms (adding each segment in column order, within a few ulp
+of ``np.sum``), and ``tensor.unit_from_norm`` applies the package's one
+zero-norm rule, so a dead segment zeroes only its own columns.
+:func:`pod_targets` is this builder on the frozen teacher, run once per task.
+
+Every loss is one autodiff primitive on this path: a weighted sum, over
+segments, of the batch-mean squared distance between two row matrices.
+:func:`pod_pooled` compares two maps, :func:`pod_flat` two embeddings, and
+:func:`pod_final` a student forward against teacher rows, with weight
+lambda_c / n_stages on each stage segment and lambda_f on the embedding. Its
+one hand-written vjp, :func:`_rows_vjp`, takes the row gradient through the
+normalization with one segmented dot and one per-segment scale, then through
+each stage map's pooling.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ import numpy as np
 
 from .backbone import StageOutputs
 from .errors import ContractError, ShapeError
-from .tensor import Tensor, _make, unit_vectors, unit_vectors_vjp
+from .tensor import Tensor, _make, unit_from_norm
 
 
 class PodMode(str, Enum):
@@ -85,36 +96,78 @@ def _pooled(sq: np.ndarray, mode: PodMode) -> list[np.ndarray]:
     return [_axis_sum(sq, axes) for axes in _POOLED_AXES[mode]]
 
 
-def _unit_groups(x: np.ndarray, mode: PodMode) -> list[tuple]:
-    """``unit_vectors`` of the squared map pooled over each axis group of ``mode``."""
-    return [unit_vectors(p.reshape(x.shape[0], -1)) for p in _pooled(x * x, mode)]
+@dataclass(frozen=True)
+class _Rows:
+    """One forward's unit rows and the segment layout :func:`_rows_vjp` needs."""
+
+    maps: list[Tensor]
+    emb: Tensor | None
+    inputs: list[Tensor]  # the maps, then the embedding if any
+    mode: PodMode | None
+    unit: np.ndarray      # (B, F): the unit segments side by side
+    inv: np.ndarray       # (B, n_seg): each segment's reciprocal norm, 0 if dead
+    widths: list[int]     # columns of each segment
+    starts: np.ndarray    # first column of each segment
 
 
-def _unit_groups_vjp(x: np.ndarray, mode: PodMode, groups, grads) -> np.ndarray:
-    """Gradient into the map ``x`` from gradients on its unit pooled rows."""
-    total = None
-    for axes, (y, alive, safe), g in zip(_POOLED_AXES[mode], groups, grads):
-        pooled = tuple(n for i, n in enumerate(x.shape) if i not in axes)
-        g = np.expand_dims(unit_vectors_vjp(g, y, alive, safe).reshape(pooled), axes)
-        total = g if total is None else total + g
-    return 2.0 * x * total
+def _rows(maps: list[Tensor], emb: Tensor | None, mode: PodMode | None) -> _Rows:
+    """The unit pooled rows of ``maps`` under ``mode``, then the unit ``emb``."""
+    inputs = [*maps, *([emb] if emb is not None else [])]
+    if any(0 in t.shape for t in inputs):
+        raise ShapeError("pod", "expected at least one sample and no empty axis, "
+                         f"got {[t.shape for t in inputs]}")
+    parts = [p.reshape(len(p), -1) for m in maps for p in _pooled(m.data * m.data, mode)]
+    if emb is not None:
+        parts.append(emb.data)
+    widths = [p.shape[1] for p in parts]
+    starts = np.cumsum([0, *widths[:-1]])
+    rows = np.concatenate(parts, axis=1)
+    inv = unit_from_norm(1.0, np.sqrt(np.add.reduceat(rows * rows, starts, axis=1)))[0]
+    unit = rows * np.repeat(inv, widths, axis=1)
+    return _Rows(maps, emb, inputs, mode, unit, inv, widths, starts)
 
 
-def _distances(rows_a, rows_b):
-    """Sum over paired (B, F) unit rows of their batch-mean squared distance.
+def _rows_vjp(r: _Rows, diff: np.ndarray, weights: np.ndarray) -> list:
+    """Gradients into ``r.inputs`` from ``diff`` on the unit rows, each
+    segment's columns scaled by that segment's entry of ``weights``."""
+    if not any(t.requires_grad for t in r.inputs):
+        return [None] * len(r.inputs)
+    dot = np.add.reduceat(diff * r.unit, r.starts, axis=1)
+    g = ((diff - r.unit * np.repeat(dot, r.widths, axis=1))
+         * np.repeat(weights * r.inv, r.widths, axis=1))
+    segments = iter(np.split(g, r.starts[1:], axis=1))
+    grads = []
+    for m in r.maps:
+        # each segment in its map's shape, the pooled axes kept as size 1
+        first, *rest = [next(segments).reshape([1 if i in axes else n
+                                                for i, n in enumerate(m.shape)])
+                        for axes in _POOLED_AXES[r.mode]]
+        grads.append(2.0 * m.data * sum(rest, first) if m.requires_grad else None)
+    if r.emb is not None:
+        grads.append(next(segments) if r.emb.requires_grad else None)
+    return grads
 
-    Returns the sum and the per-pair differences ``a - b``; the gradient of
-    the sum is ``2 * diff / B`` into ``a`` and its negative into ``b``.
+
+def _distance(name: str, a: _Rows | np.ndarray, b: _Rows, weights: np.ndarray,
+              scale: float = 1.0) -> Tensor:
+    """``scale`` times the ``weights``-weighted sum, over segments, of the
+    batch-mean squared distance between the rows ``a`` and ``b``.
+
+    ``a`` is a :class:`_Rows` of the same layout as ``b``, or a constant
+    (B, F) row matrix such as :func:`pod_targets` returns.
     """
-    total, diffs = None, []
-    for ua, ub in zip(rows_a, rows_b):
-        if ua.shape != ub.shape:
-            raise ShapeError("pod", f"pooled rows differ: {ua.shape} vs {ub.shape}")
-        diff = ua - ub
-        d = (diff * diff).sum(axis=-1).mean()
-        total = d if total is None else total + d
-        diffs.append(diff)
-    return total, diffs
+    diff = (a.unit if isinstance(a, _Rows) else a) - b.unit
+    # one contiguous row of B per segment, so each mean adds like a (B,) mean
+    per_segment = np.ascontiguousarray(
+        np.add.reduceat(diff * diff, b.starts, axis=1).T).mean(axis=1)
+    parents = [*a.inputs, *b.inputs] if isinstance(a, _Rows) else b.inputs
+
+    def vjp(g):
+        c = weights * (2.0 * scale * g / len(diff))
+        grads = _rows_vjp(a, diff, c) if isinstance(a, _Rows) else []
+        return (*grads, *_rows_vjp(b, diff, -c))
+
+    return _make(np.asarray((weights * per_segment).sum() * scale), name, parents, vjp)
 
 
 def pod_pooled(a: Tensor, b: Tensor, mode: PodMode) -> Tensor:
@@ -122,19 +175,10 @@ def pod_pooled(a: Tensor, b: Tensor, mode: PodMode) -> Tensor:
     mode = PodMode(mode)
     if a.shape != b.shape:
         raise ShapeError("pod_pooled", f"stage maps differ: {a.shape} vs {b.shape}")
-    if a.data.ndim != 4 or a.shape[0] < 1:
+    if a.data.ndim != 4:
         raise ShapeError("pod_pooled", f"expected (B, C, W, H) maps, got {a.shape}")
-    ga, gb = _unit_groups(a.data, mode), _unit_groups(b.data, mode)
-    total, diffs = _distances([u[0] for u in ga], [u[0] for u in gb])
-
-    def vjp(g):
-        grads = [2.0 * diff * (g / a.shape[0]) for diff in diffs]
-        return (
-            _unit_groups_vjp(a.data, mode, ga, grads) if a.requires_grad else None,
-            _unit_groups_vjp(b.data, mode, gb, [-x for x in grads]) if b.requires_grad else None,
-        )
-
-    return _make(np.asarray(total), "pod_pooled", (a, b), vjp)
+    return _distance("pod_pooled", _rows([a], None, mode), _rows([b], None, mode),
+                     np.ones(len(_POOLED_AXES[mode])))
 
 
 def pod_flat(h_teacher: Tensor, h_student: Tensor) -> Tensor:
@@ -149,28 +193,13 @@ def pod_flat(h_teacher: Tensor, h_student: Tensor) -> Tensor:
         )
     if h_teacher.data.ndim != 2:
         raise ShapeError("pod_flat", f"expected (B, D) embeddings, got {h_teacher.shape}")
-    ua, ub = unit_vectors(h_teacher.data), unit_vectors(h_student.data)
-    total, (diff,) = _distances([ua[0]], [ub[0]])
-
-    def vjp(g):
-        gd = 2.0 * diff * (g / h_teacher.shape[0])
-        return (
-            unit_vectors_vjp(gd, *ua) if h_teacher.requires_grad else None,
-            unit_vectors_vjp(-gd, *ub) if h_student.requires_grad else None,
-        )
-
-    return _make(np.asarray(total), "pod_flat", (h_teacher, h_student), vjp)
+    return _distance("pod_flat", _rows([], h_teacher, None), _rows([], h_student, None),
+                     np.ones(1))
 
 
 def pod_targets(outs: StageOutputs, mode: PodMode) -> np.ndarray:
-    """A forward reduced to the (B, F) rows :func:`pod_final` compares against.
-
-    Each stage map's unit pooled rows, axis group by axis group in
-    ``_POOLED_AXES`` order, followed by the unit embedding, side by side.
-    """
-    mode = PodMode(mode)
-    rows = [y for m in outs.stage_maps for y, _, _ in _unit_groups(m.data, mode)]
-    return np.concatenate(rows + [unit_vectors(outs.embedding.data)[0]], axis=1)
+    """A forward reduced to the (B, F) rows :func:`pod_final` compares against."""
+    return _rows(outs.stage_maps, outs.embedding, PodMode(mode)).unit
 
 
 def pod_final(teacher: np.ndarray, student: StageOutputs, cfg: PodConfig,
@@ -185,56 +214,14 @@ def pod_final(teacher: np.ndarray, student: StageOutputs, cfg: PodConfig,
     """
     if not (math.isfinite(scale_factor) and scale_factor > 0):
         raise ContractError(f"pod_final: scale must be positive, got {scale_factor}")
-    s_maps = student.stage_maps
     mode = PodMode(cfg.mode)
-    axes_groups = _POOLED_AXES[mode]
-    widths = [math.prod(n for i, n in enumerate(sm.shape) if i and i not in axes)
-              for sm in s_maps for axes in axes_groups] + [student.embedding.shape[1]]
-    rows = student.embedding.shape[0]
-    if teacher.shape != (rows, sum(widths)):
+    s_maps = student.stage_maps
+    rows = _rows(s_maps, student.embedding, mode)
+    if teacher.shape != rows.unit.shape:
         raise ShapeError("pod_final", f"targets {teacher.shape} do not fit student maps "
                          f"{[sm.shape for sm in s_maps]} and embedding "
                          f"{student.embedding.shape} under mode {mode.value}: "
-                         f"expected {(rows, sum(widths))}")
-    *t_groups, t_emb = np.split(teacher, np.cumsum(widths)[:-1], axis=1)
-    n = len(axes_groups)
-
-    total = None
-    stage_terms = []  # (map, its unit groups, teacher - student differences)
-    if cfg.lambda_c > 0 and s_maps:
-        weight_c = cfg.lambda_c / len(s_maps)
-        inter = None
-        for i, sm in enumerate(s_maps):
-            groups = _unit_groups(sm.data, mode)
-            d, diffs = _distances(t_groups[i * n : (i + 1) * n], [u[0] for u in groups])
-            inter = d if inter is None else inter + d
-            stage_terms.append((sm, groups, diffs))
-        total = inter * weight_c
-    emb = None
-    if cfg.lambda_f > 0:
-        emb = unit_vectors(student.embedding.data)
-        flat, (flat_diff,) = _distances([t_emb], [emb[0]])
-        flat = flat * cfg.lambda_f
-        total = flat if total is None else total + flat
-    if total is None:
-        return Tensor(0.0)
-
-    def vjp(g):
-        g = g * scale_factor
-        grads = []
-        if stage_terms:
-            c = g * weight_c / rows
-            for sm, groups, diffs in stage_terms:
-                grads.append(_unit_groups_vjp(
-                    sm.data, mode, groups, [-(2.0 * diff * c) for diff in diffs]
-                ) if sm.requires_grad else None)
-        if emb is not None:
-            c = g * cfg.lambda_f / rows
-            grads.append(unit_vectors_vjp(-(2.0 * flat_diff * c), *emb)
-                         if student.embedding.requires_grad else None)
-        return tuple(grads)
-
-    parents = [sm for sm, _, _ in stage_terms]
-    if emb is not None:
-        parents.append(student.embedding)
-    return _make(np.asarray(total * scale_factor), "pod_final", parents, vjp)
+                         f"expected {rows.unit.shape}")
+    weights = np.full(len(rows.widths), cfg.lambda_c / max(len(s_maps), 1))
+    weights[-1] = cfg.lambda_f
+    return _distance("pod_final", teacher, rows, weights, scale_factor)

@@ -326,17 +326,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def unit_vectors(x: np.ndarray, axis: int = -1, eps: float = 1e-8):
-    """Numpy core of :func:`l2_normalize`: ``(unit, alive, safe_norm)``.
+_ZERO_NORM = 1e-8  # a slice whose L2 norm is at most this normalizes to zero
 
-    Slices whose norm is at most ``eps`` map to the zero vector. The fused
-    loss primitives call this and :func:`unit_vectors_vjp` directly, so every
-    normalization in the package follows one rule.
+
+def unit_from_norm(x, norm: np.ndarray, eps: float = _ZERO_NORM):
+    """``x`` over ``norm``, its slices' L2 norm broadcast to it: ``(unit, alive, safe_norm)``.
+
+    Slices whose norm is at most ``eps`` map to the zero vector; with
+    ``x = 1.0`` this gives each slice's reciprocal norm, zero on dead slices.
     """
-    norm = np.sqrt(np.sum(x * x, axis=axis, keepdims=True))
     alive = norm > eps
     safe = np.where(alive, norm, 1.0)
     return np.where(alive, x / safe, 0.0), alive, safe
+
+
+def unit_vectors(x: np.ndarray, axis: int = -1, eps: float = _ZERO_NORM):
+    """Numpy core of :func:`l2_normalize`: ``(unit, alive, safe_norm)``.
+
+    The fused loss primitives call this (or :func:`unit_from_norm`, on norms
+    they take themselves) and :func:`unit_vectors_vjp` directly, so every
+    normalization in the package follows one rule.
+    """
+    return unit_from_norm(x, np.sqrt(np.sum(x * x, axis=axis, keepdims=True)), eps)
 
 
 def unit_vectors_vjp(g, y, alive, safe, axis: int = -1) -> np.ndarray:
@@ -345,7 +356,7 @@ def unit_vectors_vjp(g, y, alive, safe, axis: int = -1) -> np.ndarray:
     return np.where(alive, (g - y * dot) / safe, 0.0)
 
 
-def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-8) -> Tensor:
+def l2_normalize(a: Tensor, axis: int = -1, eps: float = _ZERO_NORM) -> Tensor:
     """Normalize to unit L2 norm along ``axis``.
 
     Slices whose norm is at most ``eps`` map to the zero vector (with zero

@@ -7,7 +7,7 @@ from podlearn.errors import ContractError, ShapeError
 from podlearn.gradcheck import gradient_check
 from podlearn.pod import PodConfig, PodMode, pod_final, pod_flat, pod_pooled, pod_targets
 from podlearn.pod import _POOLED_AXES, _pooled
-from podlearn.tensor import Tensor
+from podlearn.tensor import Tensor, unit_vectors
 
 from oracles import pod_final_oracle, pod_flat_oracle, pod_pooled_oracle, pooled_vector
 
@@ -145,6 +145,9 @@ def test_shape_mismatch_rejected():
     with pytest.raises(ShapeError):
         pod_pooled(Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.zeros((1, 2, 3, 4))),
                    PodMode.PIXEL)
+    # an empty batch is rejected on the path all three losses share
+    with pytest.raises(ShapeError, match="at least one sample"):
+        pod_flat(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))))
 
 
 # -- flat embedding constraint ------------------------------------------------
@@ -184,9 +187,9 @@ def test_flat_gradient_into_second_argument():
 # -- combined loss --------------------------------------------------------------
 
 
-def _random_outputs(rng, stages=2):
-    maps = [Tensor(rng.normal(size=(2, 2, 3, 3))) for _ in range(stages)]
-    emb = Tensor(rng.normal(size=(2, 5)))
+def _random_outputs(rng, shapes=((2, 2, 3, 3),) * 2, dim=5):
+    maps = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    emb = Tensor(rng.normal(size=(shapes[0][0], dim)), requires_grad=True)
     return StageOutputs(stage_maps=maps, embedding=emb)
 
 
@@ -211,19 +214,30 @@ def test_final_reduces_to_stage_mean_when_lambda_f_zero():
     assert got == pytest.approx(4.0 * sum(per_stage) / 2, abs=1e-12)
 
 
+def _dead_stage0(outs):
+    """``outs`` with sample 0's stage-0 map zeroed, as a relu can leave it, and
+    then shrunk to 1e-6: either way that sample's stage-0 segments are dead
+    (norm at most 1e-8) while its other segments stay alive."""
+    for factor in (0.0, 1e-6):
+        maps = [Tensor(m.data.copy()) for m in outs.stage_maps]
+        maps[0].data[0] *= factor
+        yield StageOutputs(maps, outs.embedding)
+
+
 def test_final_default_weights_match_oracle():
     rng = np.random.default_rng(13)
     t, s = _random_outputs(rng), _random_outputs(rng)
     cfg = PodConfig()  # lambda_c=3, lambda_f=1, spatial
-    got = pod_final(pod_targets(t, cfg.mode), s, cfg, scale_factor=2.5).item()
-    want = pod_final_oracle(
-        [m.data.tolist() for m in t.stage_maps],
-        [m.data.tolist() for m in s.stage_maps],
-        t.embedding.data.tolist(),
-        s.embedding.data.tolist(),
-        "spatial", 3.0, 1.0, 2.5,
-    )
-    assert got == pytest.approx(want, abs=1e-12)
+    for student in (s, *_dead_stage0(s)):
+        got = pod_final(pod_targets(t, cfg.mode), student, cfg, scale_factor=2.5).item()
+        want = pod_final_oracle(
+            [m.data.tolist() for m in t.stage_maps],
+            [m.data.tolist() for m in student.stage_maps],
+            t.embedding.data.tolist(),
+            student.embedding.data.tolist(),
+            "spatial", 3.0, 1.0, 2.5,
+        )
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -238,20 +252,59 @@ def test_final_gradients_into_each_student_input(mode):
 
     cfg = PodConfig(lambda_c=3.0, lambda_f=2.0, mode=mode)
     teacher, student = pod_targets(outputs(), mode), outputs()
-    inputs = [*student.stage_maps, student.embedding]
-    for i, point in enumerate(inputs):
-        def loss(t, i=i):
-            swapped = inputs[:i] + [t] + inputs[i + 1 :]
-            return pod_final(teacher, StageOutputs(swapped[:-1], swapped[-1]), cfg, 1.7)
+    for outs in (student, *_dead_stage0(student)):
+        inputs = [*outs.stage_maps, outs.embedding]
+        for i, point in enumerate(inputs):
+            def loss(t, i=i, inputs=inputs):
+                swapped = inputs[:i] + [t] + inputs[i + 1 :]
+                return pod_final(teacher, StageOutputs(swapped[:-1], swapped[-1]), cfg, 1.7)
 
-        assert gradient_check(loss, Tensor(point.data), eps=1e-5) <= 1e-4
+            assert gradient_check(loss, Tensor(point.data), eps=1e-5) <= 1e-4
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_final_against_own_targets_is_exactly_zero(mode):
+    # teacher and student rows come from the one builder, so a forward
+    # compared with its own targets matches to the last bit
+    s = _random_outputs(np.random.default_rng(26))
+    loss = pod_final(pod_targets(s, mode), s, PodConfig(mode=mode), 1.7)
+    assert loss.item() == 0.0
+    loss.backward()
+    for t in [*s.stage_maps, s.embedding]:
+        assert not t.grad.any()
+
+
+def test_final_zero_weight_gives_exactly_zero_gradient():
+    rng = np.random.default_rng(27)
+    teacher = pod_targets(_random_outputs(rng), PodMode.SPATIAL)
+    for cfg in (PodConfig(lambda_c=0.0), PodConfig(lambda_f=0.0)):
+        s = _random_outputs(rng)
+        pod_final(teacher, s, cfg, 1.7).backward()
+        for t, weight in [*((m, cfg.lambda_c) for m in s.stage_maps), (s.embedding, cfg.lambda_f)]:
+            assert t.grad.any() == (weight > 0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_builder_rows_match_per_group_unit_vectors(mode):
+    # each segment normalized on its own, with norms from one np.add.reduceat
+    # and a reciprocal, where unit_vectors uses np.sum and a division: at most
+    # 2.95 ulp apart (6.6e-16 relative) over 40 seeds of these shapes
+    rng = np.random.default_rng(28)
+    a5 = ([(32, 8, 8, 8), (32, 16, 4, 4), (32, 32, 2, 2)], 32)
+    for shapes, dim in (a5, ([(4, 8, 32, 32)], 16)):
+        s = _random_outputs(rng, shapes, dim)
+        want = np.concatenate(
+            [unit_vectors(p.reshape(len(p), -1))[0]
+             for m in s.stage_maps for p in _pooled(m.data * m.data, mode)]
+            + [unit_vectors(s.embedding.data)[0]], axis=1)
+        npt.assert_allclose(pod_targets(s, mode), want, rtol=1e-15, atol=0)
 
 
 def test_final_stage_count_mismatch_rejected():
     rng = np.random.default_rng(14)
     with pytest.raises(ShapeError):
-        pod_final(pod_targets(_random_outputs(rng, 2), PodMode.SPATIAL),
-                  _random_outputs(rng, 3), PodConfig(), 1.0)
+        pod_final(pod_targets(_random_outputs(rng), PodMode.SPATIAL),
+                  _random_outputs(rng, ((2, 2, 3, 3),) * 3), PodConfig(), 1.0)
 
 
 def test_final_rejects_targets_of_another_mode_or_batch():
