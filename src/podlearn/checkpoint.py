@@ -32,15 +32,6 @@ def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
     os.replace(tmp, path)
 
 
-def save_json(path: str, obj: dict) -> None:
-    write_text_atomic(path, json.JSONEncoder().iterencode(obj))
-
-
-def load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def require_fields(state, where: str, names) -> None:
     """``FormatError`` naming ``where`` or ``where.<name>`` unless ``state`` is an object
     holding every one of ``names``."""
@@ -67,18 +58,19 @@ def stored_array(value, where: str, integer: bool = False) -> np.ndarray:
 
 
 def save_run_checkpoint(path: str, config_echo: dict, runner_state: dict) -> None:
-    save_json(path, {
+    write_text_atomic(path, json.JSONEncoder().iterencode({
         "version": RUN_CHECKPOINT_VERSION,
         "config": config_echo,
         "runner": runner_state,
-    })
+    }))
 
 
 def load_run_checkpoint(path: str) -> tuple[dict, dict]:
     """The config echo and runner state of a checkpoint; ``FormatError`` names
     the path when the file is not a whole checkpoint document."""
     try:
-        blob = load_json(path)
+        with open(path) as fh:
+            blob = json.load(fh)
     except json.JSONDecodeError as err:
         raise FormatError(f"{path}: not a complete JSON document ({err})")
     if not isinstance(blob, dict):

@@ -26,7 +26,7 @@ from .lsc import (
     lsc_scores,
     nca_hinge_loss,
 )
-from .memory import Budget, ExemplarMemory, PerClass, herd_select
+from .memory import Budget, ExemplarMemory, PerClass, Total, herd_select
 from .pod import PodConfig, pod_final, pod_targets
 from .tensor import Tensor, no_grad, unit_vectors
 
@@ -246,16 +246,26 @@ class IncrementalRunner:
     """Drives one seeded run task by task; checkpointable between tasks."""
 
     def __init__(self, schedule: TaskSchedule, config: RunConfig, dataset: Dataset, seed: int):
-        if dataset.class_count < len(schedule.class_order):
-            raise ContractError(
-                f"dataset has {dataset.class_count} classes, schedule needs "
-                f"{len(schedule.class_order)}"
-            )
         if dataset.input_shape != config.backbone.input_shape:
             raise ContractError(
                 f"dataset shape {dataset.input_shape} != backbone input "
                 f"{config.backbone.input_shape}"
             )
+        n = len(schedule.class_order)
+        if isinstance(config.budget, Total) and config.budget.m < n:
+            raise ContractError(f"Total budget of {config.budget.m} exemplars cannot keep one "
+                                f"for each of the {n} classes")
+        # every label as its class's position in the schedule, the one class
+        # numbering the run uses; classes the schedule leaves out map to n
+        position = np.append(np.argsort(schedule.class_order), n)
+        self.train_y = position[np.minimum(dataset.train_y, n)]
+        self.test_y = position[np.minimum(dataset.test_y, n)]
+        empty = np.flatnonzero(np.bincount(self.train_y, minlength=n)[:n] == 0)
+        if empty.size:
+            raise ContractError(f"class {schedule.class_order[empty[0]]} has no training samples")
+        if not (self.test_y < schedule.initial_task_size).any():
+            raise ContractError(f"the first task's classes {schedule.task_classes(0)} have no "
+                                f"test samples")
         self.schedule = schedule
         self.config = config
         self.dataset = dataset
@@ -269,7 +279,6 @@ class IncrementalRunner:
         )
         self.memory = ExemplarMemory(config.budget)
         self.rng = np.random.default_rng(run_seed)
-        self.class_map: list[int] = []  # original id at each dense position
         self.metrics = RunMetrics()
         self.task_cursor = 0
 
@@ -277,14 +286,9 @@ class IncrementalRunner:
     def done(self) -> bool:
         return self.task_cursor >= self.schedule.num_tasks
 
-    def _dense_labels(self, original: np.ndarray) -> np.ndarray:
-        table = np.full(max(self.class_map) + 1, -1, dtype=np.int64)
-        table[self.class_map] = np.arange(len(self.class_map))
-        return table[original]
-
-    def _class_embeddings(self, class_ids: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _class_embeddings(self, classes: range) -> list[tuple[np.ndarray, np.ndarray]]:
         """Train indices and unit embeddings of each class, from one forward."""
-        parts = [self.dataset.train_indices_of(c) for c in class_ids]
+        parts = [np.flatnonzero(self.train_y == c) for c in classes]
         emb = _embed_all(self.backbone, self.dataset.train_x[np.concatenate(parts)])
         return list(zip(parts, np.split(unit_vectors(emb)[0], np.cumsum([p.size for p in parts]))))
 
@@ -293,15 +297,15 @@ class IncrementalRunner:
             raise ContractError("schedule already finished")
         t = self.task_cursor
         cfg = self.config
-        new_classes = self.schedule.task_classes(t)
+        old = self.bank.num_classes
+        new_classes = range(old, old + len(self.schedule.task_classes(t)))
+        seen = new_classes.stop
         try:
             # imprint proxies for the incoming classes
             feats = [emb for _, emb in self._class_embeddings(new_classes)]
-            for c, proxies in zip(new_classes, imprint_new_classes(feats, self.bank.K, self.rng)):
+            for proxies in imprint_new_classes(feats, self.bank.K, self.rng):
                 self.bank.add_class(proxies)
-                self.class_map.append(c)
 
-            seen = len(self.class_map)
             lam = adaptive_scale(seen, len(new_classes))
             self._train_task(new_classes, lam)
 
@@ -310,13 +314,14 @@ class IncrementalRunner:
             # far herding runs; add_class re-applies the budgets everywhere
             for c, (idx, emb) in zip(new_classes, self._class_embeddings(new_classes)):
                 order = herd_select(emb, min(idx.size, cfg.budget.m))
-                self.memory.add_class(self.class_map.index(c), idx[order].tolist())
+                self.memory.add_class(c, idx[order].tolist())
 
             if cfg.balanced_finetune and t > 0:
                 self._balanced_finetune()
 
-            test_x, test_y = self._seen_test_set()
-            nme, cnn = evaluate(self.backbone, self.bank, self.memory, test_x, test_y,
+            seen_test = self.test_y < seen
+            nme, cnn = evaluate(self.backbone, self.bank, self.memory,
+                                self.dataset.test_x[seen_test], self.test_y[seen_test],
                                 self.dataset.train_x)
         except Exception as err:
             err.args = (f"task {t}: {err}",)
@@ -324,22 +329,21 @@ class IncrementalRunner:
 
         self.metrics.nme_accuracy.append(nme)
         self.metrics.cnn_accuracy.append(cnn)
-        self.metrics.seen_classes.append(len(self.class_map))
+        self.metrics.seen_classes.append(seen)
         self.task_cursor += 1
         return {
             "task_index": t,
-            "seen_classes": len(self.class_map),
+            "seen_classes": seen,
             "nme_accuracy": nme,
             "cnn_accuracy": cnn,
         }
 
-    def _task_train_pool(self, new_classes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and dense labels of the task's data: new classes + rehearsal."""
+    def _task_train_pool(self, new_classes: range) -> tuple[np.ndarray, np.ndarray]:
+        """Indices and labels of the task's data: new classes + rehearsal."""
         # the memory holds old classes only: new ones are herded after training
-        parts = [self.dataset.train_indices_of(c) for c in new_classes]
+        parts = [np.flatnonzero(self.train_y == c) for c in new_classes]
         indices = np.concatenate(parts + [self.memory.indices()])
-        labels = self._dense_labels(self.dataset.train_y[indices])
-        return indices, labels
+        return indices, self.train_y[indices]
 
     def _classifier_loss(self, yhat: Tensor, labels: np.ndarray) -> Tensor:
         if self.config.classifier_loss == "ce":
@@ -367,7 +371,7 @@ class IncrementalRunner:
                 opt.step()
                 self.bank.clamp_eta()
 
-    def _train_task(self, new_classes: list[int], lam: float) -> None:
+    def _train_task(self, new_classes: range, lam: float) -> None:
         """Train backbone and classifier, distilling from the previous task's model."""
         cfg = self.config
         if self.bank.num_classes < 2 and cfg.classifier_loss == "nca":
@@ -396,7 +400,7 @@ class IncrementalRunner:
         """Optional post-task pass over the (balanced) memory, classifier only."""
         cfg = self.config
         indices = self.memory.indices()
-        labels = self._dense_labels(self.dataset.train_y[indices])
+        labels = self.train_y[indices]
         # the backbone is frozen here: embed the memory once
         emb = _embed_all(self.backbone, self.dataset.train_x[indices])
 
@@ -405,10 +409,6 @@ class IncrementalRunner:
 
         self._sgd_epochs(self.bank.parameters(), cfg.finetune_lr, cfg.finetune_epochs,
                          indices.size, batch_loss)
-
-    def _seen_test_set(self) -> tuple[np.ndarray, np.ndarray]:
-        mask = np.isin(self.dataset.test_y, self.class_map)
-        return self.dataset.test_x[mask], self._dense_labels(self.dataset.test_y[mask])
 
     # -- checkpointable state ------------------------------------------------
 
@@ -437,7 +437,7 @@ class IncrementalRunner:
         """A fresh runner for ``config`` with the learned state of ``to_state`` loaded.
 
         Fields the config or schedule fix (margin, budget, shapes, the class
-        map) come from them; a stored copy, as older checkpoints hold, is
+        order) come from them; a stored copy, as older checkpoints hold, is
         ignored, and so is a stored seed: the parameters and RNG state it
         would seed are loaded. A missing or malformed field raises ``FormatError`` naming
         its dotted path.
@@ -451,8 +451,7 @@ class IncrementalRunner:
             )
         runner = cls(schedule, config, dataset, seed=0)
         runner.task_cursor = cursor
-        runner.class_map = [c for t in range(cursor) for c in schedule.task_classes(t)]
-        n_classes = len(runner.class_map)
+        n_classes = sum(len(schedule.task_classes(t)) for t in range(cursor))
 
         require_fields(state["backbone"], "runner.backbone", ("params",))
         params = state["backbone"]["params"]
@@ -489,8 +488,8 @@ class IncrementalRunner:
         if len(stored) != n_classes:
             raise FormatError(f"checkpoint field runner.memory.per_class holds {len(stored)} "
                               f"classes, expected {n_classes}")
-        train_y = dataset.train_y
-        for c, original in enumerate(runner.class_map):
+        train_y = runner.train_y
+        for c in range(n_classes):
             where = f"runner.memory.per_class.{c}"
             idx = stored_array(stored[str(c)], where, integer=True)
             if idx.ndim != 1:
@@ -499,10 +498,10 @@ class IncrementalRunner:
             if bad.size:
                 raise FormatError(f"checkpoint field {where}: index {bad[0]} is outside the "
                                   f"{train_y.size} training samples")
-            bad = idx[train_y[idx] != original]
+            bad = idx[train_y[idx] != c]
             if bad.size:
                 raise FormatError(f"checkpoint field {where}: index {bad[0]} is not a training "
-                                  f"sample of class {original}")
+                                  f"sample of class {schedule.class_order[c]}")
             runner.memory.per_class[c] = idx.tolist()
 
         try:
@@ -527,12 +526,9 @@ def run_schedule(
     config: RunConfig,
     dataset: Dataset,
     seed: int,
-    on_task_end=None,
 ) -> RunMetrics:
-    """Execute the whole schedule; optional callback fires after each task."""
+    """Execute the whole schedule."""
     runner = IncrementalRunner(schedule, config, dataset, seed)
     while not runner.done:
-        row = runner.run_next_task()
-        if on_task_end is not None:
-            on_task_end(runner, row)
+        runner.run_next_task()
     return runner.metrics

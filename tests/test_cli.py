@@ -460,6 +460,38 @@ def test_run_from_npz_with_nan_input_exits_one(tmp_path, capsys):
     assert err.startswith("config error: ") and "train_x" in err
 
 
+@pytest.mark.parametrize("case, message", [
+    ("train_rows", "class 1 has no training samples"),
+    ("test_split", "the first task's classes [2, 0] have no test samples"),
+    ("total_budget", "Total budget of 3 exemplars cannot keep one for each of the 4 classes"),
+])
+def test_run_that_cannot_serve_the_schedule_exits_one_before_training(tmp_path, capsys,
+                                                                     case, message):
+    spec_path = _write(
+        tmp_path,
+        "classes = 4\nsamples_per_class = 20\nchannels = 2\nwidth = 6\nheight = 6",
+        "spec.cfg",
+    )
+    npz = str(tmp_path / "data.npz")
+    assert main(["generate", spec_path, npz]) == 0
+    with np.load(npz) as archive:
+        arrays = dict(archive)
+    if case == "train_rows":
+        keep = arrays["train_y"] != 1
+        arrays["train_x"], arrays["train_y"] = arrays["train_x"][keep], arrays["train_y"][keep]
+    elif case == "test_split":
+        arrays["test_x"], arrays["test_y"] = arrays["test_x"][:0], arrays["test_y"][:0]
+    np.savez(npz, **arrays)
+    text = TINY_INCREMENTAL + f"\ndataset = npz:{npz}\n"
+    if case == "total_budget":
+        text += "memory_mode = total\nmemory_total = 3\n"
+    out = tmp_path / "out"
+    capsys.readouterr()  # drain the generate log
+    assert main(["run", _write(tmp_path, text), "--output", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"config error: {message}\n")  # no task ran
+    assert not (out / "metrics.csv").exists()
+
+
 def test_summarize_merges_runs(tmp_path, capsys):
     cfg_path = _write(tmp_path, TINY_CONFIG)
     outs = []

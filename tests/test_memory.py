@@ -203,8 +203,8 @@ def test_memory_from_state_names_a_missing_field(first_task_state):
 
 
 def test_memory_from_state_rejects_a_bad_exemplar_index(first_task_state):
-    ds, sched, cfg, runner, state = first_task_state()
-    other_class = int(ds.train_indices_of(runner.class_map[1])[0])
+    ds, sched, cfg, _, state = first_task_state()
+    other_class = int(ds.train_indices_of(sched.class_order[1])[0])
     for bad in (10**6, -1, other_class, 1.5):
         broken = copy.deepcopy(state)
         broken["memory"]["per_class"]["0"][1] = bad

@@ -295,7 +295,8 @@ def test_runner_checkpoint_resume_matches_prefix():
 def test_runner_state_json_roundtrip_is_bit_exact(first_task_state):
     ds, sched, cfg, runner, state = first_task_state()
     revived = IncrementalRunner.from_state(sched, cfg, ds, state)
-    assert revived.class_map == runner.class_map
+    npt.assert_array_equal(revived.train_y, runner.train_y)
+    npt.assert_array_equal(revived.test_y, runner.test_y)
     assert revived.metrics == runner.metrics
     assert revived.rng.bit_generator.state == runner.rng.bit_generator.state
     assert revived.to_state() == state
@@ -332,10 +333,10 @@ def test_from_state_takes_margin_and_budget_from_the_config(first_task_state):
     # stale copies of the saving run's values, as older checkpoints hold them
     state["bank"]["delta"] = 0.6
     state["memory"]["budget"] = {"kind": "per_class", "m": 3}
-    other = dataclasses.replace(cfg, margin=0.1, budget=Total(3))
+    other = dataclasses.replace(cfg, margin=0.1, budget=Total(4))
     revived = IncrementalRunner.from_state(sched, other, ds, state)
     assert revived.bank.delta == 0.1
-    assert revived.memory.budget == Total(3)
+    assert revived.memory.budget == Total(4)
 
 
 def test_memory_covers_all_seen_classes_after_each_task():
@@ -535,20 +536,61 @@ def test_memory_is_the_prefix_of_the_full_herding_order(monkeypatch, budget, kep
     herded = [c for t in range(sched.num_tasks) for c in sched.task_classes(t)]
     assert len(full_orders) == len(herded)
     for c, full in zip(herded, full_orders):
-        dense = runner.class_map.index(c)
+        dense = sched.class_order.index(c)
         idx = ds.train_indices_of(c)
         assert runner.memory.per_class[dense] == [int(idx[i]) for i in full[: kept[dense]]]
 
 
-def test_dense_labels_match_a_dict_lookup():
-    runner = IncrementalRunner(TaskSchedule.build(4, 2, 2, seed=0), _tiny_config(),
-                               _tiny_dataset(), seed=0)
-    runner.class_map = [3, 0, 2]
-    original = np.array([2, 3, 3, 0, 2, 0])
-    lookup = {c: i for i, c in enumerate(runner.class_map)}
-    dense = runner._dense_labels(original)
-    assert dense.dtype == np.int64
-    assert dense.tolist() == [lookup[c] for c in original.tolist()]
+def test_labels_are_schedule_positions(monkeypatch):
+    # class 4 is outside the schedule: it maps past the end, into no test set
+    import podlearn.protocol as protocol
+
+    ds = _tiny_dataset(classes=5)
+    sched = TaskSchedule.build(4, 2, 1, seed=0)
+    runner = IncrementalRunner(sched, _tiny_config(), ds, seed=0)
+    position = {c: i for i, c in enumerate(sched.class_order)}
+    for dense, original in ((runner.train_y, ds.train_y), (runner.test_y, ds.test_y)):
+        assert dense.dtype == np.int64
+        assert dense.tolist() == [position.get(c, 4) for c in original.tolist()]
+
+    test_sets = []
+
+    def spy(model, bank, memory, test_x, test_y, train_x):
+        test_sets.append(test_y)
+        return evaluate(model, bank, memory, test_x, test_y, train_x)
+
+    monkeypatch.setattr(protocol, "evaluate", spy)
+    while not runner.done:
+        runner.run_next_task()
+    for seen, test_y in zip(runner.metrics.seen_classes, test_sets):
+        want = [position[c] for c in ds.test_y.tolist() if position.get(c, 4) < seen]
+        assert test_y.tolist() == want
+
+
+@pytest.mark.parametrize("case, message", [
+    ("train_rows", "class 1 has no training samples"),
+    ("fewer_classes", "class 3 has no training samples"),
+    ("test_split", r"the first task's classes \[2, 0\] have no test samples"),
+    ("total_budget", "Total budget of 3 exemplars cannot keep one for each of the 4 classes"),
+])
+def test_runner_rejects_inputs_that_cannot_serve_the_schedule(case, message):
+    # rejected at construction, before any task trains, naming the original class id
+    ds = _tiny_dataset()
+    sched = TaskSchedule.build(4, 2, 1, seed=0)
+    cfg = _tiny_config()
+    first = sched.task_classes(0)
+    if case == "train_rows":
+        keep = ds.train_y != 1
+        ds = dataclasses.replace(ds, train_x=ds.train_x[keep], train_y=ds.train_y[keep])
+    elif case == "fewer_classes":
+        ds = _tiny_dataset(classes=3)
+    elif case == "test_split":
+        later = ~np.isin(ds.test_y, first)
+        ds = dataclasses.replace(ds, test_x=ds.test_x[later], test_y=ds.test_y[later])
+    else:
+        cfg = _tiny_config(budget=Total(3))
+    with pytest.raises(ContractError, match=f"^{message}$"):
+        IncrementalRunner(sched, cfg, ds, seed=0)
 
 
 def test_ce_classifier_loss_variant_runs():
