@@ -69,9 +69,9 @@ def load_run_checkpoint(path: str) -> tuple[dict, dict]:
     """The config echo and runner state of a checkpoint; ``FormatError`` names
     the path when the file is not a whole checkpoint document."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             blob = json.load(fh)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # bad UTF-8 or bad JSON
         raise FormatError(f"{path}: not a complete JSON document ({err})")
     if not isinstance(blob, dict):
         raise FormatError(f"{path}: expected a JSON object")

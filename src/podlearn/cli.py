@@ -1,10 +1,12 @@
 """Experiment front door: run a config, generate datasets, merge summaries.
 
-Exit codes: 0 success, 1 configuration error (a bad config, or a bad input
-file such as a dataset, a checkpoint or a summary), 2 runtime failure. After
-every task a run atomically rewrites ``metrics.csv`` (one row per finished
-task) and a resumable ``checkpoint.json`` (the config echo plus the learned
-state); at the end it writes ``summary.json`` plus ``plot_data.csv``.
+Exit codes, set in ``main`` alone: 0 success; 1 when an input (a config, a
+spec, a dataset, a checkpoint or a summary) cannot be read or is invalid, and
+the command stops before writing any output; 2 when a failure comes after the
+inputs are accepted, output writes included, and the last checkpoint is kept.
+After every task a run atomically rewrites ``metrics.csv`` (one row per
+finished task) and a resumable ``checkpoint.json`` (the config echo plus the
+learned state); at the end it writes ``summary.json`` plus ``plot_data.csv``.
 """
 
 from __future__ import annotations
@@ -53,17 +55,11 @@ def _write_outputs(out_dir: str, cfg: ExperimentConfig, runner: IncrementalRunne
     write_text_atomic(os.path.join(out_dir, "plot_data.csv"), lines)
 
 
-def cmd_run(args) -> int:
-    try:
-        cfg = ExperimentConfig.from_file(args.config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
+def cmd_run(args) -> None:
+    cfg = ExperimentConfig.from_file(args.config)
     out_dir = args.output or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.csv")
     ckpt_path = os.path.join(out_dir, "checkpoint.json")
-
     try:
         dataset = cfg.load_data()
         schedule = cfg.schedule()
@@ -75,71 +71,55 @@ def cmd_run(args) -> int:
             runner = IncrementalRunner.from_state(schedule, run_cfg, dataset, state)
         else:
             runner = IncrementalRunner(schedule, run_cfg, dataset, cfg.seed)
-        _write_metrics(metrics_path, runner.metrics)
-    except (ConfigError, ContractError, FormatError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
+    except (ContractError, FormatError, OSError) as err:
+        raise ConfigError(str(err))
 
+    os.makedirs(out_dir, exist_ok=True)
+    _write_metrics(metrics_path, runner.metrics)
     start = time.monotonic()
-    try:
-        while not runner.done:
-            row = runner.run_next_task()
-            _write_metrics(metrics_path, runner.metrics)
-            save_run_checkpoint(ckpt_path, cfg.to_dict(), runner.to_state())
-            print(
-                f"task {row['task_index']}: seen={row['seen_classes']} "
-                f"nme={row['nme_accuracy']:.4f} cnn={row['cnn_accuracy']:.4f}"
-            )
-    except PodlearnError as err:
-        # checkpoint of the last finished task is retained for --resume
-        print(f"runtime failure: {err}", file=sys.stderr)
-        return 2
+    while not runner.done:
+        row = runner.run_next_task()
+        _write_metrics(metrics_path, runner.metrics)
+        save_run_checkpoint(ckpt_path, cfg.to_dict(), runner.to_state())
+        print(
+            f"task {row['task_index']}: seen={row['seen_classes']} "
+            f"nme={row['nme_accuracy']:.4f} cnn={row['cnn_accuracy']:.4f}"
+        )
     _write_outputs(out_dir, cfg, runner, time.monotonic() - start)
     print(
         f"avg incremental accuracy: nme={runner.metrics.avg_nme:.4f} "
         f"cnn={runner.metrics.avg_cnn:.4f}"
     )
-    return 0
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> None:
     try:
-        with open(args.spec) as fh:
-            spec, seed = parse_synthetic_spec(fh.read())
-    except OSError as err:
-        print(f"config error: cannot read spec: {err}", file=sys.stderr)
-        return 1
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
+        with open(args.spec, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read spec {args.spec}: {err}")
+    spec, seed = parse_synthetic_spec(text)
     try:
         dataset = generate_synthetic_dataset(spec, seed=seed)
-        save_dataset(dataset, args.out)
     except ContractError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 1
-    except (OSError, PodlearnError) as err:
-        print(f"runtime failure: {err}", file=sys.stderr)
-        return 2
+        raise ConfigError(str(err))
+    save_dataset(dataset, args.out)
     print(f"wrote {dataset.train_y.size} train / {dataset.test_y.size} test samples to {args.out}")
-    return 0
 
 
-def cmd_summarize(args) -> int:
+def cmd_summarize(args) -> None:
     rows = []
     for d in args.dirs:
         path = os.path.join(d, "summary.json")
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 s = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            print(f"config error: {path}: {err}", file=sys.stderr)
-            return 1
+        except (OSError, ValueError) as err:  # ValueError: bad JSON or bad UTF-8
+            raise ConfigError(f"{path}: {err}")
         avg = s.get("avg_incremental_accuracy") if isinstance(s, dict) else None
         if not (isinstance(avg, dict) and "nme" in avg and "cnn" in avg):
-            print(f"config error: {path}: not a run summary (no avg_incremental_accuracy "
-                  f"with nme and cnn)", file=sys.stderr)
-            return 1
+            raise ConfigError(f"{path}: not a run summary (no avg_incremental_accuracy "
+                              f"with nme and cnn)")
         rows.append({
             "directory": d,
             "seed": s.get("seed"),
@@ -150,13 +130,12 @@ def cmd_summarize(args) -> int:
         })
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        writer = csv.DictWriter(out, fieldnames=list(rows[0]) if rows else ["directory"])
+        writer = csv.DictWriter(out, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     finally:
         if args.out:
             out.close()
-    return 0
 
 
 def main(argv=None) -> int:
@@ -183,7 +162,16 @@ def main(argv=None) -> int:
     p_sum.set_defaults(fn=cmd_summarize)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        args.fn(args)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 1
+    except (OSError, PodlearnError) as err:
+        # a run keeps the checkpoint of its last finished task for --resume
+        print(f"runtime failure: {err}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -134,9 +134,9 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read config {path}: {err}")
         return cls.from_text(text)
 

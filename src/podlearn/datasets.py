@@ -52,10 +52,6 @@ class Dataset:
     test_y: np.ndarray
 
     @property
-    def class_count(self) -> int:
-        return int(self.train_y.max()) + 1
-
-    @property
     def input_shape(self) -> tuple[int, int, int]:
         return tuple(self.train_x.shape[1:])
 

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -394,6 +396,128 @@ def test_resume_bad_exemplar_index_exits_one(tmp_path, capsys, bad):
     assert "Traceback" not in err
 
 
+def test_checkpoint_write_that_fails_mid_run_exits_two_and_keeps_the_last_one(
+        tmp_path, capsys, monkeypatch):
+    import podlearn.cli
+
+    cfg_path = _write(tmp_path, TINY_INCREMENTAL)
+    full_out = tmp_path / "full"
+    assert main(["run", cfg_path, "--output", str(full_out)]) == 0
+    full = (full_out / "metrics.csv").read_text()
+
+    save = podlearn.cli.save_run_checkpoint
+    calls = []
+
+    def save_once_then_fail(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        save(*args)
+
+    monkeypatch.setattr(podlearn.cli, "save_run_checkpoint", save_once_then_fail)
+    out = tmp_path / "out"
+    capsys.readouterr()  # drain the full run's log
+    assert main(["run", cfg_path, "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "runtime failure: disk full\n"
+    # both finished tasks are in metrics.csv; the checkpoint is the one after task 0
+    assert (out / "metrics.csv").read_text().splitlines() == full.splitlines()[:3]
+    ckpt = json.loads((out / "checkpoint.json").read_text())
+    assert ckpt["runner"]["task_cursor"] == 1
+
+    monkeypatch.undo()
+    assert main(["run", cfg_path, "--output", str(out), "--resume"]) == 0
+    assert (out / "metrics.csv").read_text() == full
+
+
+def test_resume_unreadable_checkpoint_exits_one(tmp_path, capsys):
+    cfg_path, out = _checkpointed_out_dir(tmp_path)
+    ckpt = out / "checkpoint.json"
+    ckpt.unlink()
+    ckpt.mkdir()
+    assert main(["run", cfg_path, "--output", str(out), "--resume"]) == 1
+    out_text, err = capsys.readouterr()
+    assert out_text == "" and err.startswith("config error: ") and str(ckpt) in err
+    assert sorted(p.name for p in out.iterdir()) == ["checkpoint.json"]
+
+
+# -- bad inputs, in process and in a real process -------------------------------------
+
+
+NOT_UTF8 = b"\xff"
+BAD_INPUTS = {  # case -> exit code
+    "total_budget": 1,
+    "checkpoint_write": 2,
+    "checkpoint_dir_on_resume": 1,
+    "summarize_out_missing_dir": 2,
+    "config_not_utf8": 1,
+    "checkpoint_not_utf8": 1,
+    "summary_not_utf8": 1,
+    "spec_not_utf8": 1,
+}
+
+
+def _bad_input(tmp_path, case):
+    """The CLI arguments of ``case`` in ``BAD_INPUTS`` and the input file at fault."""
+    cfg_path = _write(tmp_path, TINY_INCREMENTAL)
+    out = tmp_path / "out"
+    run = ["run", cfg_path, "--output", str(out)]
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    summary = run_dir / "summary.json"
+    summary.write_text('{"avg_incremental_accuracy": {"nme": 0.5, "cnn": 0.5}}')
+    ckpt = out / "checkpoint.json"
+    if case == "total_budget":
+        text = TINY_INCREMENTAL + "memory_mode = total\nmemory_total = 3\n"
+        return ["run", _write(tmp_path, text), "--output", str(out)], None
+    if case in ("checkpoint_write", "checkpoint_dir_on_resume"):
+        ckpt.mkdir(parents=True)
+        return run + ["--resume"] * (case == "checkpoint_dir_on_resume"), ckpt
+    if case == "summarize_out_missing_dir":
+        return ["summarize", str(run_dir), "--out", str(tmp_path / "nowhere" / "s.csv")], None
+    if case == "config_not_utf8":
+        Path(cfg_path).write_bytes(NOT_UTF8 + TINY_INCREMENTAL.encode())
+        return run, Path(cfg_path)
+    if case == "checkpoint_not_utf8":
+        out.mkdir()
+        ckpt.write_bytes(NOT_UTF8 + b"{}")
+        return run + ["--resume"], ckpt
+    if case == "summary_not_utf8":
+        summary.write_bytes(NOT_UTF8 + summary.read_bytes())
+        return ["summarize", str(run_dir)], summary
+    spec = tmp_path / "spec.cfg"
+    spec.write_bytes(NOT_UTF8 + b"classes = 3\n")
+    return ["generate", str(spec), str(tmp_path / "d.npz")], spec
+
+
+@pytest.mark.parametrize("case", [c for c in BAD_INPUTS if c.endswith("_not_utf8")])
+def test_input_that_is_not_utf8_exits_one_naming_the_file(tmp_path, capsys, case):
+    argv, path = _bad_input(tmp_path, case)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and str(path) in err
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_gives_one_stderr_line_and_its_exit_code_in_a_real_process(tmp_path,
+                                                                              case):
+    argv, _ = _bad_input(tmp_path, case)
+    before = sorted(tmp_path.rglob("*"))
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "podlearn.cli", *argv], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    code = BAD_INPUTS[case]
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("config error: " if code == 1 else "runtime failure: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    if code == 1:
+        assert sorted(tmp_path.rglob("*")) == before  # nothing written
+
+
 # -- generate / summarize --------------------------------------------------------------
 
 
@@ -402,7 +526,7 @@ def test_generate_writes_loadable_dataset(tmp_path):
     out = str(tmp_path / "data.npz")
     assert main(["generate", spec_path, out]) == 0
     ds = load_dataset(out)
-    assert ds.class_count == 3
+    assert np.unique(ds.train_y).tolist() == [0, 1, 2]
     assert ds.train_y.size == 24
 
 
@@ -489,7 +613,7 @@ def test_run_that_cannot_serve_the_schedule_exits_one_before_training(tmp_path, 
     capsys.readouterr()  # drain the generate log
     assert main(["run", _write(tmp_path, text), "--output", str(out)]) == 1
     assert capsys.readouterr() == ("", f"config error: {message}\n")  # no task ran
-    assert not (out / "metrics.csv").exists()
+    assert not out.exists()
 
 
 def test_summarize_merges_runs(tmp_path, capsys):
@@ -510,6 +634,13 @@ def test_summarize_merges_runs(tmp_path, capsys):
 
 def test_summarize_missing_dir_exits_one(tmp_path):
     assert main(["summarize", str(tmp_path / "ghost")]) == 1
+
+
+def test_summarize_out_into_a_missing_directory_exits_two(tmp_path, capsys):
+    argv, _ = _bad_input(tmp_path, "summarize_out_missing_dir")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: ") and str(tmp_path / "nowhere") in err
 
 
 def test_summarize_malformed_summary_exits_one(tmp_path, capsys):

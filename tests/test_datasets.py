@@ -233,6 +233,6 @@ def test_dataset_helpers():
         np.zeros((4, 1, 2, 2)), np.array([0, 0, 1, 1]),
         np.zeros((2, 1, 2, 2)), np.array([0, 1]),
     )
-    assert ds.class_count == 2
+    assert np.unique(ds.train_y).tolist() == [0, 1]
     assert ds.input_shape == (1, 2, 2)
     npt.assert_array_equal(ds.train_indices_of(1), [2, 3])
