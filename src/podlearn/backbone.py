@@ -34,22 +34,6 @@ class BackboneConfig:
                 raise ContractError(f"bad stage spec {s}")
         if self.embedding_dim < 1:
             raise ContractError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
-        for c, w, h in self.stage_shapes():
-            if w < 1 or h < 1:
-                raise ContractError(
-                    f"spatial extent collapses below 1x1 (stage gives {w}x{h})"
-                )
-
-    def stage_shapes(self) -> list[tuple[int, int, int]]:
-        """(channels, width, height) of each stage's output map."""
-        _, w, h = self.input_shape
-        shapes = []
-        for i, (filters, _blocks) in enumerate(self.stages):
-            if i > 0:  # stride-2 entry, 3x3 kernel, padding 1
-                w = (w - 1) // 2 + 1
-                h = (h - 1) // 2 + 1
-            shapes.append((filters, w, h))
-        return shapes
 
 
 @dataclass
@@ -120,18 +104,3 @@ class Backbone:
         pooled = tmean(relu(h), axis=(2, 3))
         embedding = add(matmul(pooled, self.params["head.weight"]), self.params["head.bias"])
         return StageOutputs(stage_maps=maps, embedding=embedding)
-
-    @classmethod
-    def from_params(cls, config: BackboneConfig, values: dict[str, np.ndarray]) -> "Backbone":
-        model = cls(config, seed=0)
-        if set(values) != set(model.params):
-            missing = set(model.params) ^ set(values)
-            raise ContractError(f"parameter names mismatch: {sorted(missing)}")
-        for name, arr in values.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            if arr.shape != model.params[name].shape:
-                raise ContractError(
-                    f"parameter {name}: shape {arr.shape} != {model.params[name].shape}"
-                )
-            model.params[name] = Tensor(arr.copy(), requires_grad=True)
-        return model

@@ -6,6 +6,7 @@ with its shortest round-tripping decimal form.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from typing import Iterable
@@ -19,42 +20,60 @@ RUN_CHECKPOINT_VERSION = 1
 
 def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
     """Write ``chunks`` in order to a temporary file, fsync it, then rename
-    it over ``path``.
+    it over ``path``; on any failure remove the temporary file and re-raise.
 
     Chunks are written as they come, so a streamed document (such as
     ``JSONEncoder.iterencode``) is never held in memory as one string.
     """
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.writelines(chunks)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    fh = open(tmp, "w")  # outside the try: a file that did not open is not ours to remove
+    try:
+        with fh:
+            fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
-def require_fields(state, where: str, names) -> None:
-    """``FormatError`` naming ``where`` or ``where.<name>`` unless ``state`` is an object
-    holding every one of ``names``."""
-    if not isinstance(state, dict):
-        raise FormatError(f"checkpoint field {where} is not an object")
-    for name in names:
-        if name not in state:
-            raise FormatError(f"checkpoint field {where}.{name} is missing")
+def read_field(state: dict, path: tuple[str, ...], shape=None, integer: bool = False):
+    """The field at ``path`` of a runner state and its dotted name ``runner.<path>``.
 
-
-def stored_array(value, where: str, integer: bool = False) -> np.ndarray:
-    """``value`` as a float64 (or, when ``integer``, int64) array; ``FormatError``
-    naming ``where`` unless it is a rectangular array of finite numbers of that
-    type. An empty list passes as an empty array."""
+    ``FormatError`` names the field when a step of the path is missing or is
+    not an object. Without ``shape`` the field must be an object and comes
+    back as stored. With it, the field must be a rectangular array of finite
+    numbers (integers when ``integer``) of that shape, where ``None`` matches
+    any length; it comes back as float64 (int64). An empty list reads as an
+    array of any expected shape that holds no entries.
+    """
+    where, value = "runner", state
+    for key in path:
+        if not isinstance(value, dict):
+            raise FormatError(f"checkpoint field {where} is not an object")
+        where += f".{key}"
+        if key not in value:
+            raise FormatError(f"checkpoint field {where} is missing")
+        value = value[key]
+    if shape is None:
+        if not isinstance(value, dict):
+            raise FormatError(f"checkpoint field {where} is not an object")
+        return value, where
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         raise FormatError(f"checkpoint field {where} is not a rectangular array")
-    kind = "integers" if integer else "numbers"
     if arr.size and (arr.dtype.kind not in ("iu" if integer else "iuf")
                      or not np.isfinite(arr).all()):
+        kind = "integers" if integer else "numbers"
         raise FormatError(f"checkpoint field {where} holds entries that are not finite {kind}")
-    return arr.astype(np.int64 if integer else np.float64)
+    if arr.size == 0 and 0 in shape:
+        arr = arr.reshape(shape)
+    if arr.ndim != len(shape) or any(n not in (m, None) for m, n in zip(arr.shape, shape)):
+        raise FormatError(f"checkpoint field {where} has shape {arr.shape}, expected {shape}")
+    return arr.astype(np.int64 if integer else np.float64), where
 
 
 def save_run_checkpoint(path: str, config_echo: dict, runner_state: dict) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .backbone import Backbone, BackboneConfig
 from .datasets import Dataset
-from .checkpoint import require_fields, stored_array
+from .checkpoint import read_field
 from .errors import ContractError, FormatError
 from .lsc import (
     ProxyBank,
@@ -439,61 +439,47 @@ class IncrementalRunner:
         Fields the config or schedule fix (margin, budget, shapes, the class
         order) come from them; a stored copy, as older checkpoints hold, is
         ignored, and so is a stored seed: the parameters and RNG state it
-        would seed are loaded. A missing or malformed field raises ``FormatError`` naming
-        its dotted path.
+        would seed are loaded. Every field is read by ``read_field``; a missing,
+        malformed or impossible one raises ``FormatError`` naming its dotted path.
         """
-        require_fields(state, "runner", ("task_cursor", "backbone", "bank", "memory", "rng",
-                                         "metrics"))
-        cursor = state["task_cursor"]
-        if not isinstance(cursor, int) or not 0 <= cursor <= schedule.num_tasks:
-            raise FormatError(
-                f"checkpoint field runner.task_cursor is not in 0..{schedule.num_tasks}"
-            )
+        cursor, where = read_field(state, ("task_cursor",), (), integer=True)
+        if not 0 <= cursor <= schedule.num_tasks:
+            raise FormatError(f"checkpoint field {where} is not in 0..{schedule.num_tasks}")
         runner = cls(schedule, config, dataset, seed=0)
-        runner.task_cursor = cursor
-        n_classes = sum(len(schedule.task_classes(t)) for t in range(cursor))
+        runner.task_cursor = cursor = int(cursor)
+        sizes = [len(schedule.task_classes(t)) for t in range(cursor)]
+        seen = np.cumsum(sizes, dtype=int).tolist()  # classes seen after each finished task
+        n_classes = seen[-1] if seen else 0
 
-        require_fields(state["backbone"], "runner.backbone", ("params",))
-        params = state["backbone"]["params"]
-        require_fields(params, "runner.backbone.params", ())
-        values = {}
-        for name, p in params.items():
-            where = f"runner.backbone.params.{name}"
-            require_fields(p, where, ("shape", "values"))
-            try:
-                values[name] = stored_array(p["values"], f"{where}.values").reshape(p["shape"])
-            except (TypeError, ValueError) as err:
-                raise FormatError(f"checkpoint field {where}.shape: {err}")
-        try:
-            runner.backbone = Backbone.from_params(config.backbone, values)
-        except ContractError as err:
-            raise FormatError(f"checkpoint field runner.backbone.params: {err}")
+        # the fresh runner's parameters carry the expected names and shapes
+        params, where = read_field(state, ("backbone", "params"))
+        names = sorted(set(params) ^ set(runner.backbone.params))
+        if names:
+            raise FormatError(f"checkpoint field {where}: parameter names mismatch: {names}")
+        for name, p in runner.backbone.params.items():
+            path = ("backbone", "params", name)
+            shape, where = read_field(state, path + ("shape",), (p.data.ndim,), integer=True)
+            if tuple(shape) != p.shape:
+                raise FormatError(f"checkpoint field {where} is {shape.tolist()}, "
+                                  f"expected {list(p.shape)}")
+            p.data = read_field(state, path + ("values",), (p.data.size,))[0].reshape(p.shape)
 
-        require_fields(state["bank"], "runner.bank", ("eta", "theta"))
-        eta = stored_array(state["bank"]["eta"], "runner.bank.eta")
-        theta = stored_array(state["bank"]["theta"], "runner.bank.theta")
-        expected = (n_classes, runner.bank.K, runner.bank.dim)
-        if eta.shape != ():
-            raise FormatError("checkpoint field runner.bank.eta is not a number")
-        if theta.shape != expected and not (n_classes == 0 and theta.size == 0):
-            raise FormatError(
-                f"checkpoint field runner.bank.theta has shape {theta.shape}, expected {expected}"
-            )
-        runner.bank.eta.data = eta
-        runner.bank.theta = Tensor(theta.reshape(expected), requires_grad=True)
+        bank = runner.bank
+        eta, where = read_field(state, ("bank", "eta"), ())
+        if eta < bank.eta_floor:
+            raise FormatError(f"checkpoint field {where} is {eta}, below its floor "
+                              f"eta_init = {bank.eta_floor}")
+        theta, where = read_field(state, ("bank", "theta"), (n_classes, bank.K, bank.dim))
+        if not unit_vectors(theta)[1].all():  # the rule lsc_scores applies
+            raise FormatError(f"checkpoint field {where} holds a (near-)zero-norm proxy")
+        bank.eta.data, bank.theta.data = eta, theta
 
-        require_fields(state["memory"], "runner.memory", ("per_class",))
-        stored = state["memory"]["per_class"]
-        require_fields(stored, "runner.memory.per_class", [str(c) for c in range(n_classes)])
-        if len(stored) != n_classes:
-            raise FormatError(f"checkpoint field runner.memory.per_class holds {len(stored)} "
-                              f"classes, expected {n_classes}")
+        stored, stored_at = read_field(state, ("memory", "per_class"))
         train_y = runner.train_y
         for c in range(n_classes):
-            where = f"runner.memory.per_class.{c}"
-            idx = stored_array(stored[str(c)], where, integer=True)
-            if idx.ndim != 1:
-                raise FormatError(f"checkpoint field {where} is not a list of indices")
+            idx, where = read_field(state, ("memory", "per_class", str(c)), (None,), integer=True)
+            if idx.size == 0 or np.unique(idx).size < idx.size:
+                raise FormatError(f"checkpoint field {where} is empty or repeats an index")
             bad = idx[(idx < 0) | (idx >= train_y.size)]
             if bad.size:
                 raise FormatError(f"checkpoint field {where}: index {bad[0]} is outside the "
@@ -503,21 +489,27 @@ class IncrementalRunner:
                 raise FormatError(f"checkpoint field {where}: index {bad[0]} is not a training "
                                   f"sample of class {schedule.class_order[c]}")
             runner.memory.per_class[c] = idx.tolist()
+        if len(stored) != n_classes:
+            raise FormatError(f"checkpoint field {stored_at} holds {len(stored)} classes, "
+                              f"expected {n_classes}")
 
+        rng, where = read_field(state, ("rng",))
         try:
-            runner.rng.bit_generator.state = state["rng"]
+            runner.rng.bit_generator.state = rng
         except (KeyError, TypeError, ValueError) as err:
-            raise FormatError(f"checkpoint field runner.rng is not a generator state ({err!r})")
+            raise FormatError(f"checkpoint field {where} is not a generator state ({err!r})")
 
-        m = state["metrics"]
-        names = ("nme_accuracy", "cnn_accuracy", "seen_classes")
-        require_fields(m, "runner.metrics", names)
-        series = [stored_array(m[k], f"runner.metrics.{k}", k == "seen_classes") for k in names]
-        for k, arr in zip(names, series):
-            if arr.shape != (cursor,):
-                raise FormatError(f"checkpoint field runner.metrics.{k} does not hold one "
-                                  f"entry per finished task ({cursor})")
-        runner.metrics = RunMetrics(*(arr.tolist() for arr in series))
+        accs = []
+        for name in ("nme_accuracy", "cnn_accuracy"):
+            acc, where = read_field(state, ("metrics", name), (cursor,))
+            if ((acc < 0) | (acc > 1)).any():
+                raise FormatError(f"checkpoint field {where} holds an accuracy outside [0, 1]")
+            accs.append(acc.tolist())
+        counts, where = read_field(state, ("metrics", "seen_classes"), (cursor,), integer=True)
+        if counts.tolist() != seen:
+            raise FormatError(f"checkpoint field {where} is not the schedule's running class "
+                              f"count {seen}")
+        runner.metrics = RunMetrics(*accs, seen)
         return runner
 
 

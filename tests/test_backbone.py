@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from podlearn.backbone import Backbone, BackboneConfig
-from podlearn.checkpoint import load_run_checkpoint, save_run_checkpoint
+from podlearn.checkpoint import load_run_checkpoint, save_run_checkpoint, write_text_atomic
 from podlearn.errors import ContractError, FormatError, ShapeError
 from podlearn.gradcheck import gradient_check
 from podlearn.lsc import ProxyBank, lsc_scores, nca_hinge_loss
@@ -27,13 +27,10 @@ def test_config_validation():
     with pytest.raises(ContractError):
         BackboneConfig(input_shape=(0, 8, 8))
     # stride-2 entries with padding keep every extent >= 1
-    deep = BackboneConfig(input_shape=(3, 2, 2), stages=((4, 1), (8, 1), (8, 1), (8, 1)))
-    assert all(w >= 1 and h >= 1 for _, w, h in deep.stage_shapes())
-
-
-def test_stage_shapes_halve_per_striding_stage():
-    cfg = BackboneConfig()  # 3x8x8 input, stages (8,16,32)
-    assert cfg.stage_shapes() == [(8, 8, 8), (16, 4, 4), (32, 2, 2)]
+    deep = Backbone(BackboneConfig(input_shape=(3, 2, 2),
+                                   stages=((4, 1), (8, 1), (8, 1), (8, 1))))
+    maps = deep.forward_with_stages(Tensor(np.zeros((1, 3, 2, 2)))).stage_maps
+    assert [m.shape for m in maps] == [(1, 4, 2, 2), (1, 8, 1, 1), (1, 8, 1, 1), (1, 8, 1, 1)]
 
 
 def test_forward_shapes_match_config():
@@ -172,6 +169,21 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
         load_run_checkpoint(str(path))
 
 
+def test_failed_atomic_write_leaves_no_temporary_file(tmp_path):
+    def chunks():
+        yield "partial"
+        raise RuntimeError("chunk source failed")
+
+    path = tmp_path / "out.txt"
+    with pytest.raises(RuntimeError, match="chunk source failed"):
+        write_text_atomic(str(path), chunks())
+    assert sorted(tmp_path.iterdir()) == []
+    path.mkdir()  # the rename over a directory fails after a whole write
+    with pytest.raises(IsADirectoryError):
+        write_text_atomic(str(path), ["whole"])
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_checkpoint_names_a_missing_nested_field(first_task_state):
     ds, sched, cfg, _, state = first_task_state()
     for keys in (("params", "head.bias", "values"), ("params", "stage0.block0.weight", "shape"),
@@ -201,11 +213,3 @@ def test_checkpoint_rejects_a_wrong_parameter_shape_or_name(first_task_state):
     broken["backbone"]["params"]["extra"] = broken["backbone"]["params"].pop("head.bias")
     with pytest.raises(FormatError, match=r"runner\.backbone\.params.*extra"):
         IncrementalRunner.from_state(sched, cfg, ds, broken)
-
-
-def test_from_params_validates_names_and_shapes():
-    model = _default()
-    values = {k: v.data for k, v in model.params.items()}
-    values.pop("head.bias")
-    with pytest.raises(ContractError):
-        Backbone.from_params(BackboneConfig(), values)

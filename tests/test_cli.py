@@ -396,6 +396,30 @@ def test_resume_bad_exemplar_index_exits_one(tmp_path, capsys, bad):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("keys, corrupt", [
+    (("memory", "per_class", "0"), lambda stored: []),
+    (("bank", "theta"), lambda stored: np.zeros(np.shape(stored)).tolist()),
+], ids=["exemplars_empty", "proxies_zero"])
+def test_resume_state_no_run_can_write_exits_one_before_training(tmp_path, capsys, keys,
+                                                                  corrupt):
+    # left to a later task, an empty exemplar list or all-zero proxies would exit 2
+    cfg_path, out = _checkpointed_out_dir(tmp_path, tasks=1)
+    ckpt = out / "checkpoint.json"
+    blob = json.loads(ckpt.read_text())
+    node = blob["runner"]
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = corrupt(node[keys[-1]])
+    ckpt.write_text(json.dumps(blob))
+    (out / "metrics.csv").write_text("left by the interrupted run\n")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["run", cfg_path, "--output", str(out), "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: checkpoint field runner." + ".".join(keys) + " ")
+    assert err.count("\n") == 1
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_checkpoint_write_that_fails_mid_run_exits_two_and_keeps_the_last_one(
         tmp_path, capsys, monkeypatch):
     import podlearn.cli

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import json
 
 import numpy as np
 import numpy.testing as npt
@@ -328,6 +329,44 @@ def test_runner_state_rejects_inconsistent_progress(first_task_state):
             IncrementalRunner.from_state(sched, cfg, ds, broken)
 
 
+def _first_exemplar_twice(state):
+    first, _, *rest = state["memory"]["per_class"]["0"]
+    return [first, first, *rest]
+
+
+@pytest.mark.parametrize("keys, corrupt", [
+    (("bank", "eta"), lambda state: -5.0),
+    (("bank", "eta"), lambda state: 0.0),  # below the floor eta_init = 1
+    (("memory", "per_class", "0"), lambda state: []),
+    (("memory", "per_class", "0"), _first_exemplar_twice),
+    (("bank", "theta"), lambda state: np.zeros(np.shape(state["bank"]["theta"])).tolist()),
+    (("metrics", "nme_accuracy"), lambda state: [7.0]),
+    (("metrics", "seen_classes"), lambda state: [3]),
+    (("task_cursor",), lambda state: True),
+    (("backbone", "params", "head.bias", "shape"), lambda state: [-1]),
+], ids=["eta_negative", "eta_zero", "exemplars_empty", "exemplar_repeated", "proxies_zero",
+        "nme_above_one", "seen_classes_off_schedule", "cursor_bool", "param_shape_minus_one"])
+def test_runner_state_no_run_can_write_is_rejected(first_task_state, keys, corrupt):
+    # no run writes these values; the load itself must fail, not a later task
+    ds, sched, cfg, _, state = first_task_state()
+    node = state
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = corrupt(state)
+    with pytest.raises(FormatError) as exc:
+        IncrementalRunner.from_state(sched, cfg, ds, state)
+    assert str(exc.value).startswith("checkpoint field runner." + ".".join(keys) + " ")
+
+
+def test_fresh_runner_state_round_trips(first_task_state):
+    ds, sched, cfg, _, _ = first_task_state()
+    state = json.loads(json.dumps(IncrementalRunner(sched, cfg, ds, seed=2).to_state()))
+    assert state["task_cursor"] == 0 and state["bank"]["theta"] == []
+    revived = IncrementalRunner.from_state(sched, cfg, ds, state)
+    assert revived.bank.theta.shape == (0, cfg.proxies_per_class, cfg.backbone.embedding_dim)
+    assert revived.to_state() == state
+
+
 def test_from_state_takes_margin_and_budget_from_the_config(first_task_state):
     ds, sched, cfg, _, state = first_task_state(margin=0.6, budget=PerClass(3))
     # stale copies of the saving run's values, as older checkpoints hold them
@@ -426,7 +465,7 @@ def test_targets_are_the_backbone_before_the_task(monkeypatch):
 
     ds, sched, runner = _two_task_runner()
     runner.run_next_task()
-    saved = {name: t.data.copy() for name, t in runner.backbone.params.items()}
+    teacher = copy.deepcopy(runner.backbone)  # its parameters before task 1
     inputs, seen = [], []
     forward = runner.backbone.forward_with_stages
 
@@ -448,9 +487,9 @@ def test_targets_are_the_backbone_before_the_task(monkeypatch):
 
     cfg = runner.config
     assert len(seen) == cfg.epochs_per_task * -(-pool // cfg.batch_size)
-    moved = max(np.abs(t.data - saved[name]).max() for name, t in runner.backbone.params.items())
+    moved = max(np.abs(t.data - teacher.params[name].data).max()
+                for name, t in runner.backbone.params.items())
     assert moved > 1e-3
-    teacher = Backbone.from_params(cfg.backbone, saved)
     for x, targets in seen:
         with no_grad():
             want = pod_targets(teacher.forward_with_stages(Tensor(x)), cfg.pod.mode)
