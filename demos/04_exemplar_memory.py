@@ -30,10 +30,10 @@ print("budgets: a shared pool re-splits as classes arrive (earliest classes")
 print("take the remainder), a per-class cap just truncates.")
 shared = ExemplarMemory(Total(50))
 for c in range(7):
-    shared.add_class(c, list(range(30)))
-    sizes = [len(shared.per_class[i]) for i in sorted(shared.per_class)]
+    shared.add_class(list(range(30)))
+    sizes = [len(stored) for stored in shared.per_class]
     print(f"  after class {c}: sizes={sizes} total={shared.total_stored()}")
 
 capped = ExemplarMemory(PerClass(5))
-capped.add_class(0, order)
+capped.add_class(order)
 print("per-class cap keeps the herding prefix:", capped.per_class[0] == order[:5])

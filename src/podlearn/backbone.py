@@ -21,17 +21,18 @@ from .tensor import Tensor, add, conv2d, matmul, relu, tmean
 @dataclass(frozen=True)
 class BackboneConfig:
     input_shape: tuple[int, int, int] = (3, 8, 8)
-    stages: tuple[tuple[int, int], ...] = ((8, 1), (16, 1), (32, 1))
+    stage_filters: tuple[int, ...] = (8, 16, 32)
+    blocks_per_stage: int = 1
     embedding_dim: int = 32
 
     def __post_init__(self):
         if len(self.input_shape) != 3 or min(self.input_shape) < 1:
             raise ContractError(f"bad input_shape {self.input_shape}")
-        if len(self.stages) < 2:
+        if len(self.stage_filters) < 2:
             raise ContractError("need at least 2 stages")
-        for s in self.stages:
-            if len(s) != 2 or s[0] < 1 or s[1] < 1:
-                raise ContractError(f"bad stage spec {s}")
+        if min(self.stage_filters) < 1 or self.blocks_per_stage < 1:
+            raise ContractError(f"bad stages: filters {self.stage_filters}, "
+                                f"{self.blocks_per_stage} blocks each")
         if self.embedding_dim < 1:
             raise ContractError(f"embedding_dim must be >= 1, got {self.embedding_dim}")
 
@@ -57,8 +58,8 @@ class Backbone:
         self.params: dict[str, Tensor] = {}
         rng = np.random.default_rng(seed)
         c_in = config.input_shape[0]
-        for i, (filters, blocks) in enumerate(config.stages):
-            for j in range(blocks):
+        for i, filters in enumerate(config.stage_filters):
+            for j in range(config.blocks_per_stage):
                 shape = (filters, c_in, 3, 3)
                 self.params[f"stage{i}.block{j}.weight"] = Tensor(
                     _kaiming_uniform(rng, shape, fan_in=c_in * 9), requires_grad=True
@@ -87,7 +88,8 @@ class Backbone:
             )
         h = batch
         maps: list[Tensor] = []
-        for i, (_filters, blocks) in enumerate(self.config.stages):
+        blocks = self.config.blocks_per_stage
+        for i in range(len(self.config.stage_filters)):
             if i > 0:
                 h = relu(h)
             for j in range(blocks):

@@ -100,8 +100,8 @@ class ExperimentConfig:
     initial_task_size: int = 5
     increment: int = 1
     # backbone
-    stage_filters: tuple[int, ...] = tuple(f for f, _ in BackboneConfig.stages)
-    blocks_per_stage: int = BackboneConfig.stages[0][1]
+    stage_filters: tuple[int, ...] = BackboneConfig.stage_filters
+    blocks_per_stage: int = BackboneConfig.blocks_per_stage
     embedding_dim: int = BackboneConfig.embedding_dim
     # distillation
     pod_mode: str = PodConfig.mode.value
@@ -202,14 +202,10 @@ class ExperimentConfig:
             raise ContractError(f"unknown pod_mode {self.pod_mode!r}")
         return PodConfig(mode=mode, **self._same_named(PodConfig))
 
-    def backbone_config(self, input_shape: tuple[int, int, int]) -> BackboneConfig:
-        stages = tuple((f, self.blocks_per_stage) for f in self.stage_filters)
-        return BackboneConfig(input_shape=input_shape, stages=stages,
-                              **self._same_named(BackboneConfig))
-
     def run_config(self, input_shape: tuple[int, int, int]) -> RunConfig:
-        return RunConfig(backbone=self.backbone_config(input_shape), pod=self.pod_config(),
-                         budget=self.budget(), **self._same_named(RunConfig))
+        backbone = BackboneConfig(input_shape=input_shape, **self._same_named(BackboneConfig))
+        return RunConfig(backbone=backbone, pod=self.pod_config(), budget=self.budget(),
+                         **self._same_named(RunConfig))
 
     def load_data(self) -> Dataset:
         if self.dataset == "synthetic":

@@ -6,7 +6,7 @@ Budgets come in two flavors: a fixed cap per old class, or one shared total
 split evenly across classes (remainder to the earliest-added classes).
 No class ever holds more than the budget's ``m``, and greedy picks do not
 depend on how far herding runs, so a new class is herded only ``m`` deep.
-Class means embed every stored exemplar in one call.
+Class means come out as one ``(C, D)`` matrix, row c for class position c.
 """
 
 from __future__ import annotations
@@ -73,57 +73,54 @@ def herd_select(features: np.ndarray, m: int) -> list[int]:
     return picked
 
 
-def _allocation(budget: Budget, class_ids: list[int]) -> dict[int, int]:
+def _allocation(budget: Budget, n: int) -> list[int]:
+    """Exemplars each of ``n`` classes may keep, in class order."""
     if isinstance(budget, PerClass):
-        return {c: budget.m for c in class_ids}
-    n = len(class_ids)
+        return [budget.m] * n
     base, rem = divmod(budget.m, n)
-    return {c: base + (1 if i < rem else 0) for i, c in enumerate(class_ids)}
+    return [base + (1 if i < rem else 0) for i in range(n)]
 
 
 class ExemplarMemory:
-    """Per-class exemplar indices under a budget, in herding order."""
+    """Exemplar lists by class position, in herding order; only ``add_class`` changes them."""
 
     def __init__(self, budget: Budget):
         self.budget = budget
-        self.per_class: dict[int, list[int]] = {}
+        self.per_class: list[list[int]] = []
 
     def total_stored(self) -> int:
-        return sum(len(v) for v in self.per_class.values())
+        return sum(len(v) for v in self.per_class)
 
     def indices(self) -> np.ndarray:
         """Every stored index as one int64 array, class by class in herding order."""
-        return np.array([i for v in self.per_class.values() for i in v], dtype=np.int64)
+        return np.array([i for v in self.per_class for i in v], dtype=np.int64)
 
-    def add_class(self, class_id: int, herding_order: list[int]) -> None:
-        """Register a new class's herding order, then cut every class list to
-        its current allocation (a prefix cut)."""
-        if class_id in self.per_class:
-            raise ContractError(f"class {class_id} already stored")
-        self.per_class[class_id] = [int(i) for i in herding_order]
-        alloc = _allocation(self.budget, list(self.per_class))
-        for c, order in self.per_class.items():
-            self.per_class[c] = order[: alloc[c]]
+    def add_class(self, herding_order: list[int]) -> None:
+        """Store the herding order of the next class position, then cut every
+        class list to its current allocation (a prefix cut)."""
+        self.per_class.append([int(i) for i in herding_order])
+        alloc = _allocation(self.budget, len(self.per_class))
+        self.per_class = [order[:m] for order, m in zip(self.per_class, alloc)]
 
-    def class_means(self, embed_fn) -> dict[int, np.ndarray]:
-        """Unit-norm mean of unit-norm exemplar embeddings, per class.
+    def class_means(self, embeddings: np.ndarray) -> np.ndarray:
+        """Unit-norm means of unit-norm exemplar embeddings, one row per class.
 
-        ``embed_fn(indices)`` is called once, with every stored index class
-        by class, and must return their raw (n, D) embeddings computed with
-        the current model; means therefore track representation drift.
-        A zero mean (e.g. antipodal exemplars) is a numeric fault, not a
-        silent zero vector.
+        ``embeddings`` holds the raw embeddings of ``indices()``, in that
+        order, computed with the current model, so means track
+        representation drift. A zero mean (e.g. antipodal exemplars) is a
+        numeric fault, not a silent zero vector.
         """
-        unit, alive, _ = unit_vectors(np.asarray(embed_fn(self.indices()), dtype=np.float64))
-        bounds = np.cumsum([len(v) for v in self.per_class.values()])
-        means: dict[int, np.ndarray] = {}
-        for c, rows, ok in zip(self.per_class, np.split(unit, bounds), np.split(alive, bounds)):
+        unit, alive, _ = unit_vectors(np.asarray(embeddings, dtype=np.float64))
+        if len(unit) != self.total_stored():
+            raise ContractError(f"{len(unit)} embeddings for {self.total_stored()} exemplars")
+        bounds = np.cumsum([len(v) for v in self.per_class])
+        means = np.empty((len(self.per_class), unit.shape[1]))
+        for c, rows, ok in zip(range(len(means)), np.split(unit, bounds), np.split(alive, bounds)):
             if not rows.size:
                 raise ContractError(f"class {c} has no exemplars")
             if not ok.all():
                 raise NumericError(f"class {c}: zero-norm exemplar embedding")
-            mean, mean_ok, _ = unit_vectors(rows.mean(axis=0))
+            means[c], mean_ok, _ = unit_vectors(rows.mean(axis=0))
             if not mean_ok.all():
                 raise NumericError(f"class {c}: exemplar mean is (near-)zero")
-            means[c] = mean
         return means

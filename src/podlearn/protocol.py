@@ -224,13 +224,12 @@ def evaluate(
         raise ContractError("empty test set")
     if test_y.max() >= bank.num_classes or test_y.min() < 0:
         raise ContractError("test labels refer to unseen classes")
-    means = memory.class_means(lambda idx: _embed_all(model, train_x[idx]))
-    if sorted(means) != list(range(bank.num_classes)):
+    if len(memory.per_class) != bank.num_classes:
         raise ContractError("memory does not cover every seen class")
+    means = memory.class_means(_embed_all(model, train_x[memory.indices()]))
 
     emb = _embed_all(model, test_x)
-    mean_mat = np.stack([means[c] for c in range(bank.num_classes)])
-    nme_preds = (unit_vectors(emb)[0] @ mean_mat.T).argmax(axis=1)
+    nme_preds = (unit_vectors(emb)[0] @ means.T).argmax(axis=1)
     # score in row chunks whose (rows, C*K) similarity block stays near
     # _SCORE_BLOCK doubles, so the transient does not grow with the classes
     step = max(1, _SCORE_BLOCK // (bank.num_classes * bank.K))
@@ -252,6 +251,8 @@ class IncrementalRunner:
                 f"{config.backbone.input_shape}"
             )
         n = len(schedule.class_order)
+        if schedule.initial_task_size < 2 and config.classifier_loss == "nca":
+            raise ContractError("NCA loss needs >= 2 classes in the first task")
         if isinstance(config.budget, Total) and config.budget.m < n:
             raise ContractError(f"Total budget of {config.budget.m} exemplars cannot keep one "
                                 f"for each of the {n} classes")
@@ -312,9 +313,9 @@ class IncrementalRunner:
             # herd the new classes as far as any budget can keep: no class ever
             # holds more than budget.m, and greedy picks do not depend on how
             # far herding runs; add_class re-applies the budgets everywhere
-            for c, (idx, emb) in zip(new_classes, self._class_embeddings(new_classes)):
+            for idx, emb in self._class_embeddings(new_classes):
                 order = herd_select(emb, min(idx.size, cfg.budget.m))
-                self.memory.add_class(c, idx[order].tolist())
+                self.memory.add_class(idx[order].tolist())
 
             if cfg.balanced_finetune and t > 0:
                 self._balanced_finetune()
@@ -374,8 +375,6 @@ class IncrementalRunner:
     def _train_task(self, new_classes: range, lam: float) -> None:
         """Train backbone and classifier, distilling from the previous task's model."""
         cfg = self.config
-        if self.bank.num_classes < 2 and cfg.classifier_loss == "nca":
-            raise ContractError("NCA loss needs >= 2 classes in the first task")
         indices, labels = self._task_train_pool(new_classes)
         targets = None
         if self.task_cursor > 0 and (cfg.pod.lambda_c > 0 or cfg.pod.lambda_f > 0):
@@ -421,7 +420,7 @@ class IncrementalRunner:
                 for name, t in self.backbone.params.items()
             }},
             "bank": {"eta": float(self.bank.eta.data), "theta": self.bank.theta.data.tolist()},
-            "memory": {"per_class": {str(c): list(v) for c, v in self.memory.per_class.items()}},
+            "memory": {"per_class": {str(c): list(v) for c, v in enumerate(self.memory.per_class)}},
             "rng": self.rng.bit_generator.state,
             "metrics": {
                 "nme_accuracy": self.metrics.nme_accuracy,
@@ -488,7 +487,8 @@ class IncrementalRunner:
             if bad.size:
                 raise FormatError(f"checkpoint field {where}: index {bad[0]} is not a training "
                                   f"sample of class {schedule.class_order[c]}")
-            runner.memory.per_class[c] = idx.tolist()
+            # a run's budget cut: allocations never grow, so lists a run wrote load unchanged
+            runner.memory.add_class(idx.tolist())
         if len(stored) != n_classes:
             raise FormatError(f"checkpoint field {stored_at} holds {len(stored)} classes, "
                               f"expected {n_classes}")

@@ -25,7 +25,7 @@ def first_task_state():
         ds = generate_synthetic_dataset(spec, seed=0)
         sched = TaskSchedule.build(4, 2, 1, seed=2)
         fields = dict(
-            backbone=BackboneConfig(input_shape=(2, 6, 6), stages=((4, 1), (8, 1)),
+            backbone=BackboneConfig(input_shape=(2, 6, 6), stage_filters=(4, 8),
                                     embedding_dim=8),
             proxies_per_class=2,
             budget=PerClass(3),

@@ -300,17 +300,17 @@ def test_a7_protocol_mechanics():
     avg_ok = average_incremental_accuracy([1.0, 0.5]) == 0.75
 
     per = ExemplarMemory(PerClass(20))
-    per.add_class(0, list(range(50)))
-    per.add_class(1, list(range(12)))
+    per.add_class(list(range(50)))
+    per.add_class(list(range(12)))
     per_ok = len(per.per_class[0]) == 20 and len(per.per_class[1]) == 12
 
     total = ExemplarMemory(Total(2000))
     for c in range(60):
-        total.add_class(c, list(range(40)))
-    sizes60 = sorted({len(v) for v in total.per_class.values()})
+        total.add_class(list(range(40)))
+    sizes60 = sorted({len(v) for v in total.per_class})
     for c in range(60, 100):
-        total.add_class(c, list(range(40)))
-    sizes100 = {len(v) for v in total.per_class.values()}
+        total.add_class(list(range(40)))
+    sizes100 = {len(v) for v in total.per_class}
     total_ok = (
         sizes60 == [33, 34]
         and total.total_stored() <= 2000

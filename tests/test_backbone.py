@@ -21,14 +21,14 @@ def _default():
 
 def test_config_validation():
     with pytest.raises(ContractError):
-        BackboneConfig(stages=((8, 1),))  # need >= 2 stages
+        BackboneConfig(stage_filters=(8,))  # need >= 2 stages
     with pytest.raises(ContractError):
         BackboneConfig(embedding_dim=0)
     with pytest.raises(ContractError):
         BackboneConfig(input_shape=(0, 8, 8))
     # stride-2 entries with padding keep every extent >= 1
     deep = Backbone(BackboneConfig(input_shape=(3, 2, 2),
-                                   stages=((4, 1), (8, 1), (8, 1), (8, 1))))
+                                   stage_filters=(4, 8, 8, 8)))
     maps = deep.forward_with_stages(Tensor(np.zeros((1, 3, 2, 2)))).stage_maps
     assert [m.shape for m in maps] == [(1, 4, 2, 2), (1, 8, 1, 1), (1, 8, 1, 1), (1, 8, 1, 1)]
 
@@ -67,7 +67,7 @@ def test_gradients_through_whole_training_graph_into_conv_weight():
     # backbone -> pod_final + lsc_scores -> nca_hinge_loss, the graph one
     # training step differentiates, checked against central differences with
     # respect to the first stage's conv weight
-    cfg = BackboneConfig(input_shape=(2, 6, 5), stages=((3, 1), (4, 1)), embedding_dim=5)
+    cfg = BackboneConfig(input_shape=(2, 6, 5), stage_filters=(3, 4), embedding_dim=5)
     student = Backbone(cfg, seed=1)
     teacher = Backbone(cfg, seed=2)
     rng = np.random.default_rng(30)

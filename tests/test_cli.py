@@ -139,7 +139,7 @@ def test_defaults_come_from_the_library_classes():
     cfg = ExperimentConfig()
     assert cfg.synthetic_spec() == SyntheticSpec()
     assert cfg.pod_config() == PodConfig()
-    assert cfg.backbone_config((3, 8, 8)) == BackboneConfig()
+    assert cfg.run_config((3, 8, 8)).backbone == BackboneConfig()
     assert cfg.run_config((3, 8, 8)) == RunConfig()
     assert cfg.budget() == RunConfig().budget == PerClass(cfg.memory_per_class)
 
@@ -612,6 +612,7 @@ def test_run_from_npz_with_nan_input_exits_one(tmp_path, capsys):
     ("train_rows", "class 1 has no training samples"),
     ("test_split", "the first task's classes [2, 0] have no test samples"),
     ("total_budget", "Total budget of 3 exemplars cannot keep one for each of the 4 classes"),
+    ("one_class_nca", "NCA loss needs >= 2 classes in the first task"),
 ])
 def test_run_that_cannot_serve_the_schedule_exits_one_before_training(tmp_path, capsys,
                                                                      case, message):
@@ -633,6 +634,8 @@ def test_run_that_cannot_serve_the_schedule_exits_one_before_training(tmp_path, 
     text = TINY_INCREMENTAL + f"\ndataset = npz:{npz}\n"
     if case == "total_budget":
         text += "memory_mode = total\nmemory_total = 3\n"
+    elif case == "one_class_nca":
+        text = text.replace("initial_task_size = 2", "initial_task_size = 1")
     out = tmp_path / "out"
     capsys.readouterr()  # drain the generate log
     assert main(["run", _write(tmp_path, text), "--output", str(out)]) == 1

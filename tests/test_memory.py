@@ -63,25 +63,25 @@ def test_herd_contracts():
 
 def test_per_class_budget_truncates_to_m():
     mem = ExemplarMemory(PerClass(20))
-    mem.add_class(0, list(range(50)))
-    mem.add_class(1, list(range(7)))
+    mem.add_class(list(range(50)))
+    mem.add_class(list(range(7)))
     assert mem.per_class[0] == list(range(20))
     assert mem.per_class[1] == list(range(7))  # min(20, available)
 
 
 def test_total_budget_even_division():
     mem = ExemplarMemory(Total(2000))
-    for c in range(100):
-        mem.add_class(c, list(range(40)))
-    assert all(len(v) == 20 for v in mem.per_class.values())
+    for _ in range(100):
+        mem.add_class(list(range(40)))
+    assert all(len(v) == 20 for v in mem.per_class)
     assert mem.total_stored() == 2000
 
 
 def test_total_budget_remainder_goes_to_earliest():
     mem = ExemplarMemory(Total(2000))
-    for c in range(60):
-        mem.add_class(c, list(range(40)))
-    lengths = [len(mem.per_class[c]) for c in range(60)]
+    for _ in range(60):
+        mem.add_class(list(range(40)))
+    lengths = [len(v) for v in mem.per_class]
     assert lengths[:20] == [34] * 20
     assert lengths[20:] == [33] * 40
     assert sum(lengths) == 2000
@@ -89,14 +89,14 @@ def test_total_budget_remainder_goes_to_earliest():
 
 def test_budget_safety_over_growth_trajectory():
     mem = ExemplarMemory(Total(100))
-    for c in range(30):
-        mem.add_class(c, list(range(25)))
+    for _ in range(30):
+        mem.add_class(list(range(25)))
         assert mem.total_stored() <= 100
         n = len(mem.per_class)
         base, rem = divmod(100, n)
-        for i, cid in enumerate(mem.per_class):
+        for i, stored in enumerate(mem.per_class):
             want = base + (1 if i < rem else 0)
-            assert len(mem.per_class[cid]) <= want
+            assert len(stored) <= want
     # allocations shrink as classes arrive, so prefixes stay consistent
     assert mem.per_class[0] == list(range(len(mem.per_class[0])))
 
@@ -106,15 +106,8 @@ def test_truncation_is_prefix_of_herding_order():
     feats = _unit_rows(rng.normal(size=(30, 4)))
     order = herd_select(feats, 30)
     mem = ExemplarMemory(PerClass(8))
-    mem.add_class(0, order)
+    mem.add_class(order)
     assert mem.per_class[0] == order[:8]
-
-
-def test_duplicate_class_rejected():
-    mem = ExemplarMemory(PerClass(5))
-    mem.add_class(0, [1, 2, 3])
-    with pytest.raises(ContractError):
-        mem.add_class(0, [4, 5])
 
 
 def test_budget_validation():
@@ -129,33 +122,32 @@ def test_budget_validation():
 
 def test_single_exemplar_mean_is_its_unit_embedding():
     mem = ExemplarMemory(PerClass(5))
-    mem.add_class(0, [3])
-    emb = {3: np.array([3.0, 4.0])}
-    means = mem.class_means(lambda idx: np.stack([emb[i] for i in idx]))
+    mem.add_class([3])
+    means = mem.class_means(np.array([[3.0, 4.0]]))
+    assert means.shape == (1, 2)
     npt.assert_allclose(means[0], [0.6, 0.8], atol=1e-12)
 
 
 def test_antipodal_exemplars_are_numeric_fault():
     mem = ExemplarMemory(PerClass(5))
-    mem.add_class(0, [0, 1])
-    emb = {0: np.array([1.0, 0.0]), 1: np.array([-1.0, 0.0])}
+    mem.add_class([0, 1])
     with pytest.raises(NumericError):
-        mem.class_means(lambda idx: np.stack([emb[i] for i in idx]))
+        mem.class_means(np.array([[1.0, 0.0], [-1.0, 0.0]]))
 
 
 def test_zero_norm_exemplar_is_numeric_fault():
     mem = ExemplarMemory(PerClass(5))
-    mem.add_class(0, [0])
+    mem.add_class([0])
     with pytest.raises(NumericError):
-        mem.class_means(lambda idx: np.zeros((len(idx), 3)))
+        mem.class_means(np.zeros((1, 3)))
 
 
 def test_means_match_scalar_oracle():
     rng = np.random.default_rng(4)
     vecs = rng.normal(size=(5, 6))
     mem = ExemplarMemory(PerClass(5))
-    mem.add_class(0, list(range(5)))
-    means = mem.class_means(lambda idx: vecs[np.asarray(idx)])
+    mem.add_class(list(range(5)))
+    means = mem.class_means(vecs)
     npt.assert_allclose(means[0], class_mean_oracle(vecs.tolist()), atol=1e-12)
 
 
@@ -163,34 +155,32 @@ def test_class_means_embed_every_exemplar_in_one_call():
     rng = np.random.default_rng(6)
     vecs = rng.normal(size=(12, 4))
     mem = ExemplarMemory(PerClass(3))
-    mem.add_class(0, [4, 1, 7])
-    mem.add_class(1, [0, 2])
-    mem.add_class(2, [11, 9, 3])
-    calls = []
-
-    def embed(idx):
-        calls.append([int(i) for i in idx])
-        return vecs[idx]
-
-    means = mem.class_means(embed)
-    assert calls == [[4, 1, 7, 0, 2, 11, 9, 3]]
-    for c, stored in mem.per_class.items():
+    mem.add_class([4, 1, 7])
+    mem.add_class([0, 2])
+    mem.add_class([11, 9, 3])
+    assert mem.indices().tolist() == [4, 1, 7, 0, 2, 11, 9, 3]
+    # one array holds the embeddings of every stored exemplar, in that order
+    means = mem.class_means(vecs[mem.indices()])
+    assert means.shape == (3, 4)
+    for c, stored in enumerate(mem.per_class):
         npt.assert_allclose(means[c], class_mean_oracle(vecs[stored].tolist()), atol=1e-12)
+    with pytest.raises(ContractError, match="^7 embeddings for 8 exemplars$"):
+        mem.class_means(vecs[mem.indices()[:-1]])
 
 
 def test_empty_class_rejected_in_means():
     mem = ExemplarMemory(Total(3))
     for c in range(4):  # 4 classes, budget 3: someone ends up empty
-        mem.add_class(c, [c])
-    with pytest.raises(ContractError):
-        mem.class_means(lambda idx: np.ones((len(idx), 2)))
+        mem.add_class([c])
+    with pytest.raises(ContractError, match="^class 3 has no exemplars$"):
+        mem.class_means(np.ones((3, 2)))
 
 
 def test_memory_state_roundtrip(first_task_state):
     ds, sched, cfg, runner, state = first_task_state(budget=Total(10))
     memory = IncrementalRunner.from_state(sched, cfg, ds, state).memory
     assert memory.per_class == runner.memory.per_class
-    assert [len(v) for v in memory.per_class.values()] == [5, 5]
+    assert [len(v) for v in memory.per_class] == [5, 5]
     assert memory.budget == Total(10)  # from the config
 
 

@@ -36,7 +36,7 @@ def _tiny_dataset(classes=4, seed=0):
 
 def _tiny_config(**kw):
     defaults = dict(
-        backbone=BackboneConfig(input_shape=(2, 6, 6), stages=((4, 1), (8, 1)),
+        backbone=BackboneConfig(input_shape=(2, 6, 6), stage_filters=(4, 8),
                                 embedding_dim=8),
         proxies_per_class=2,
         budget=PerClass(3),
@@ -121,7 +121,7 @@ def _orthogonal_setup():
 
 
 def test_evaluate_cnn_one_hot_proxies():
-    cfg = BackboneConfig(input_shape=(3, 2, 2), stages=((3, 1), (3, 1)),
+    cfg = BackboneConfig(input_shape=(3, 2, 2), stage_filters=(3, 3),
                          embedding_dim=3)
     model = Backbone(cfg, seed=0)
     # identity-ish head: embedding = pooled channels
@@ -142,7 +142,7 @@ def test_evaluate_cnn_one_hot_proxies():
     train_x = np.concatenate([x, np.random.default_rng(1).normal(size=(1, 3, 2, 2))])
     mem = ExemplarMemory(PerClass(2))
     for c in range(3):
-        mem.add_class(c, [c])
+        mem.add_class([c])
     nme, cnn = evaluate(model, bank, mem, x, np.array([0, 1]), train_x)
     assert cnn == 1.0
     assert nme == 1.0
@@ -159,7 +159,7 @@ def test_evaluate_nme_exact_means():
     rng = np.random.default_rng(2)
     for c in range(3):
         bank.add_class(rng.normal(size=(2, 8)))
-        mem.add_class(c, [int(ds.train_indices_of(c)[0])])
+        mem.add_class([int(ds.train_indices_of(c)[0])])
     test_x = ds.train_x[[mem.per_class[c][0] for c in range(3)]]
     nme, _ = evaluate(model, bank, mem, test_x, np.arange(3), ds.train_x)
     assert nme == 1.0
@@ -167,7 +167,7 @@ def test_evaluate_nme_exact_means():
 
 def test_evaluate_nme_hand_oracle_four_points():
     # 4 points / 2 classes with hand-computable means
-    cfg = BackboneConfig(input_shape=(1, 2, 2), stages=((2, 1), (2, 1)),
+    cfg = BackboneConfig(input_shape=(1, 2, 2), stage_filters=(2, 2),
                          embedding_dim=2)
     model = Backbone(cfg, seed=3)
     train_x = np.random.default_rng(4).normal(size=(4, 1, 2, 2))
@@ -181,8 +181,8 @@ def test_evaluate_nme_hand_oracle_four_points():
     means = {c: m / np.linalg.norm(m) for c, m in means.items()}
 
     mem = ExemplarMemory(PerClass(2))
-    mem.add_class(0, [0, 1])
-    mem.add_class(1, [2, 3])
+    mem.add_class([0, 1])
+    mem.add_class([2, 3])
     bank = ProxyBank(2, 1)
     bank.add_class(np.ones((1, 2)))
     bank.add_class(-np.ones((1, 2)))
@@ -219,7 +219,7 @@ def test_evaluate_embeds_the_test_set_once(monkeypatch):
     rng = np.random.default_rng(3)
     for c in range(2):
         bank.add_class(rng.normal(size=(2, 8)))
-        mem.add_class(c, [int(i) for i in ds.train_indices_of(c)[:2]])
+        mem.add_class([int(i) for i in ds.train_indices_of(c)[:2]])
     test_x, test_y = ds.test_x[:6], np.array([0, 1, 0, 1, 0, 1])
     sizes = []
 
@@ -376,6 +376,23 @@ def test_from_state_takes_margin_and_budget_from_the_config(first_task_state):
     revived = IncrementalRunner.from_state(sched, other, ds, state)
     assert revived.bank.delta == 0.1
     assert revived.memory.budget == Total(4)
+    # cut to Total(4)'s allocation over the 2 classes seen, as a run would be
+    stored = state["memory"]["per_class"]
+    assert [len(stored["0"]), len(stored["1"])] == [3, 3]
+    assert revived.memory.per_class == [stored["0"][:2], stored["1"][:2]]
+
+
+def test_from_state_cuts_a_list_longer_than_the_budget(first_task_state):
+    # no run writes it, but the load goes through the same cut as a run
+    ds, sched, cfg, runner, state = first_task_state(budget=PerClass(3))
+    whole = np.flatnonzero(runner.train_y == 0).tolist()
+    assert len(whole) == 16
+    state["memory"]["per_class"]["0"] = whole
+    revived = IncrementalRunner.from_state(sched, cfg, ds, state)
+    assert revived.memory.per_class[0] == whole[:3]
+    # task 1 trains on its one new class plus 3 exemplars of each old class
+    indices, labels = revived._task_train_pool(range(2, 3))
+    assert (indices.size, int((labels < 2).sum())) == (22, 6)
 
 
 def test_memory_covers_all_seen_classes_after_each_task():
@@ -383,9 +400,9 @@ def test_memory_covers_all_seen_classes_after_each_task():
     sched = TaskSchedule.build(4, 2, 2, seed=3)
     runner = IncrementalRunner(sched, _tiny_config(budget=Total(9)), ds, seed=3)
     runner.run_next_task()
-    assert sorted(runner.memory.per_class) == [0, 1]
+    assert len(runner.memory.per_class) == 2
     runner.run_next_task()
-    assert sorted(runner.memory.per_class) == [0, 1, 2, 3]
+    assert len(runner.memory.per_class) == 4
     assert runner.memory.total_stored() <= 9
 
 
@@ -611,6 +628,7 @@ def test_labels_are_schedule_positions(monkeypatch):
     ("fewer_classes", "class 3 has no training samples"),
     ("test_split", r"the first task's classes \[2, 0\] have no test samples"),
     ("total_budget", "Total budget of 3 exemplars cannot keep one for each of the 4 classes"),
+    ("one_class_nca", "NCA loss needs >= 2 classes in the first task"),
 ])
 def test_runner_rejects_inputs_that_cannot_serve_the_schedule(case, message):
     # rejected at construction, before any task trains, naming the original class id
@@ -626,8 +644,12 @@ def test_runner_rejects_inputs_that_cannot_serve_the_schedule(case, message):
     elif case == "test_split":
         later = ~np.isin(ds.test_y, first)
         ds = dataclasses.replace(ds, test_x=ds.test_x[later], test_y=ds.test_y[later])
-    else:
+    elif case == "total_budget":
         cfg = _tiny_config(budget=Total(3))
+    else:
+        sched = TaskSchedule.build(4, 1, 1, seed=0)
+        # CE trains on one class; only NCA needs two
+        IncrementalRunner(sched, _tiny_config(classifier_loss="ce"), ds, seed=0)
     with pytest.raises(ContractError, match=f"^{message}$"):
         IncrementalRunner(sched, cfg, ds, seed=0)
 
@@ -642,7 +664,7 @@ def test_ce_classifier_loss_variant_runs():
 def test_runner_validates_dataset_shape():
     ds = _tiny_dataset()
     cfg = _tiny_config(backbone=BackboneConfig(input_shape=(3, 6, 6),
-                                               stages=((4, 1), (8, 1)),
+                                               stage_filters=(4, 8),
                                                embedding_dim=8))
     with pytest.raises(ContractError):
         IncrementalRunner(TaskSchedule.build(4, 2, 1, seed=0), cfg, ds, seed=0)
@@ -690,10 +712,15 @@ def test_sgd_momentum_and_weight_decay_hand_steps():
     assert idle.data.tolist() == [3.0]
 
 
-def test_failure_carries_task_index():
-    ds = _tiny_dataset()
-    sched = TaskSchedule.build(4, 1, 1, seed=0)  # single-class first task
-    runner = IncrementalRunner(sched, _tiny_config(), ds, seed=0)
+def test_failure_carries_task_index(monkeypatch):
+    import podlearn.protocol as protocol
+
+    def failing(*args):
+        raise ContractError("evaluation failed")
+
+    monkeypatch.setattr(protocol, "evaluate", failing)
+    runner = IncrementalRunner(TaskSchedule.build(4, 2, 1, seed=0), _tiny_config(),
+                               _tiny_dataset(), seed=0)
     with pytest.raises(ContractError) as exc:
         runner.run_next_task()
     assert "task 0" in str(exc.value)
