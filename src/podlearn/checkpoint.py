@@ -1,4 +1,4 @@
-"""Atomic JSON and text persistence for run state and run outputs.
+"""Atomic persistence for run state, run outputs and generated datasets.
 
 JSON keeps float64 values bit-exact: Python serializes every finite double
 with its shortest round-tripping decimal form.
@@ -18,18 +18,17 @@ from .errors import FormatError
 RUN_CHECKPOINT_VERSION = 1
 
 
-def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` in order to a temporary file, fsync it, then rename
-    it over ``path``; on any failure remove the temporary file and re-raise.
-
-    Chunks are written as they come, so a streamed document (such as
-    ``JSONEncoder.iterencode``) is never held in memory as one string.
+@contextlib.contextmanager
+def atomic_file(path: str, mode: str = "w"):
+    """A temporary file, opened with ``mode``, through which the block writes
+    ``path``: after the block it is fsynced and renamed over ``path``; on any
+    failure it is removed and the error re-raised.
     """
     tmp = f"{path}.tmp"
-    fh = open(tmp, "w")  # outside the try: a file that did not open is not ours to remove
+    fh = open(tmp, mode)  # outside the try: a file that did not open is not ours to remove
     try:
         with fh:
-            fh.writelines(chunks)
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -37,6 +36,14 @@ def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to ``path`` through :func:`atomic_file` as they come,
+    so a streamed document (such as ``JSONEncoder.iterencode``) is never held
+    in memory as one string."""
+    with atomic_file(path) as fh:
+        fh.writelines(chunks)
 
 
 def read_field(state: dict, path: tuple[str, ...], shape=None, integer: bool = False):

@@ -7,18 +7,21 @@ inputs are accepted, output writes included, and the last checkpoint is kept.
 After every task a run atomically rewrites ``metrics.csv`` (one row per
 finished task) and a resumable ``checkpoint.json`` (the config echo plus the
 learned state); at the end it writes ``summary.json`` plus ``plot_data.csv``.
+``summary.json``'s ``wall_time_seconds`` is the time of the tasks this
+invocation ran, ``timed_tasks`` of them: a resumed run times only its own part.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
 import time
 
-from .checkpoint import load_run_checkpoint, save_run_checkpoint, write_text_atomic
+from .checkpoint import atomic_file, load_run_checkpoint, save_run_checkpoint, write_text_atomic
 from .config import ExperimentConfig, parse_synthetic_spec
 from .datasets import generate_synthetic_dataset, save_dataset
 from .errors import ConfigError, ContractError, FormatError, PodlearnError
@@ -36,13 +39,14 @@ def _write_metrics(path: str, m: RunMetrics) -> None:
 
 
 def _write_outputs(out_dir: str, cfg: ExperimentConfig, runner: IncrementalRunner,
-                   wall_time: float) -> None:
+                   timed_tasks: int, wall_time: float) -> None:
     m = runner.metrics
     summary = {
         "config": cfg.to_dict(),
         "seed": cfg.seed,
         "tasks": len(m.nme_accuracy),
         "avg_incremental_accuracy": {"nme": m.avg_nme, "cnn": m.avg_cnn},
+        "timed_tasks": timed_tasks,
         "wall_time_seconds": wall_time,
     }
     write_text_atomic(os.path.join(out_dir, "summary.json"),
@@ -76,7 +80,7 @@ def cmd_run(args) -> None:
 
     os.makedirs(out_dir, exist_ok=True)
     _write_metrics(metrics_path, runner.metrics)
-    start = time.monotonic()
+    first, start = runner.task_cursor, time.monotonic()
     while not runner.done:
         row = runner.run_next_task()
         _write_metrics(metrics_path, runner.metrics)
@@ -85,7 +89,7 @@ def cmd_run(args) -> None:
             f"task {row['task_index']}: seen={row['seen_classes']} "
             f"nme={row['nme_accuracy']:.4f} cnn={row['cnn_accuracy']:.4f}"
         )
-    _write_outputs(out_dir, cfg, runner, time.monotonic() - start)
+    _write_outputs(out_dir, cfg, runner, runner.task_cursor - first, time.monotonic() - start)
     print(
         f"avg incremental accuracy: nme={runner.metrics.avg_nme:.4f} "
         f"cnn={runner.metrics.avg_cnn:.4f}"
@@ -126,16 +130,13 @@ def cmd_summarize(args) -> None:
             "tasks": s.get("tasks"),
             "avg_nme": avg["nme"],
             "avg_cnn": avg["cnn"],
+            "timed_tasks": s.get("timed_tasks"),
             "wall_time_seconds": s.get("wall_time_seconds"),
         })
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with atomic_file(args.out) if args.out else contextlib.nullcontext(sys.stdout) as out:
         writer = csv.DictWriter(out, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
 
 
 def main(argv=None) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import atomic_file
 from .errors import ContractError, FormatError
 
 _CIFAR_RECORD = 3074  # coarse label byte + fine label byte + 3*32*32 pixels
@@ -141,23 +142,19 @@ def _read_cifar_records(path: str) -> tuple[np.ndarray, np.ndarray]:
     return pixels, labels
 
 
-def ingest_cifar_binary(
-    path: str, test_path: str | None = None, classes: int | None = None
-) -> Dataset:
+def ingest_cifar_binary(path: str, classes: int | None = None) -> Dataset:
     """Load CIFAR-100 binary records, scale to [0, 1], standardize per channel.
 
-    ``path`` may be a directory holding ``train.bin``/``test.bin``. Without a
-    test file, each class is split 80/20 in record order. ``classes`` keeps
-    only fine labels below that count. Standardization statistics always come
-    from the train split.
+    ``path`` is a ``train.bin`` file or a directory holding ``train.bin`` and,
+    optionally, ``test.bin``. Without a test file, each class is split 80/20
+    in record order. ``classes`` keeps only fine labels below that count.
+    Standardization statistics always come from the train split.
     """
+    test_path = None
     if os.path.isdir(path):
-        test_path = test_path or os.path.join(path, "test.bin")
-        path = os.path.join(path, "train.bin")
-        if not os.path.exists(test_path):
-            test_path = None
+        path, test_path = os.path.join(path, "train.bin"), os.path.join(path, "test.bin")
     train_x, train_y = _read_cifar_records(path)
-    if test_path is not None:
+    if test_path is not None and os.path.exists(test_path):
         test_x, test_y = _read_cifar_records(test_path)
     else:
         tr_idx, te_idx = [], []
@@ -191,13 +188,9 @@ def ingest_cifar_binary(
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
-    np.savez(
-        path,
-        train_x=ds.train_x,
-        train_y=ds.train_y,
-        test_x=ds.test_x,
-        test_y=ds.test_y,
-    )
+    """Write ``ds`` as an npz archive to exactly ``path``, atomically."""
+    with atomic_file(path, "wb") as fh:
+        np.savez(fh, train_x=ds.train_x, train_y=ds.train_y, test_x=ds.test_x, test_y=ds.test_y)
 
 
 def load_dataset(path: str) -> Dataset:

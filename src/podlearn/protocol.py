@@ -56,14 +56,16 @@ class TaskSchedule:
         rest = len(self.class_order) - self.initial_task_size
         return 1 + (rest // self.increment if rest else 0)
 
-    def task_classes(self, task: int) -> list[int]:
-        """Original class ids introduced by task ``task`` (0-based)."""
+    def positions(self, task: int) -> range:
+        """Schedule positions of the classes task ``task`` (0-based) introduces."""
         if not (0 <= task < self.num_tasks):
             raise ContractError(f"task {task} outside 0..{self.num_tasks - 1}")
-        if task == 0:
-            return list(self.class_order[: self.initial_task_size])
-        lo = self.initial_task_size + (task - 1) * self.increment
-        return list(self.class_order[lo : lo + self.increment])
+        stop = self.initial_task_size + task * self.increment
+        return range(stop - (self.increment if task else self.initial_task_size), stop)
+
+    def task_classes(self, task: int) -> list[int]:
+        """Original class ids introduced by task ``task`` (0-based)."""
+        return [self.class_order[p] for p in self.positions(task)]
 
     @classmethod
     def build(cls, class_count: int, initial_task_size: int, increment: int, seed: int):
@@ -281,7 +283,11 @@ class IncrementalRunner:
         self.memory = ExemplarMemory(config.budget)
         self.rng = np.random.default_rng(run_seed)
         self.metrics = RunMetrics()
-        self.task_cursor = 0
+
+    @property
+    def task_cursor(self) -> int:
+        """The number of tasks scored so far, which is the next task's index."""
+        return len(self.metrics.nme_accuracy)
 
     @property
     def done(self) -> bool:
@@ -298,8 +304,7 @@ class IncrementalRunner:
             raise ContractError("schedule already finished")
         t = self.task_cursor
         cfg = self.config
-        old = self.bank.num_classes
-        new_classes = range(old, old + len(self.schedule.task_classes(t)))
+        new_classes = self.schedule.positions(t)
         seen = new_classes.stop
         try:
             # imprint proxies for the incoming classes
@@ -331,7 +336,6 @@ class IncrementalRunner:
         self.metrics.nme_accuracy.append(nme)
         self.metrics.cnn_accuracy.append(cnn)
         self.metrics.seen_classes.append(seen)
-        self.task_cursor += 1
         return {
             "task_index": t,
             "seen_classes": seen,
@@ -414,7 +418,6 @@ class IncrementalRunner:
     def to_state(self) -> dict:
         """The learned state: only what the schedule and config cannot rebuild."""
         return {
-            "task_cursor": self.task_cursor,
             "backbone": {"params": {
                 name: {"shape": list(t.shape), "values": t.data.reshape(-1).tolist()}
                 for name, t in self.backbone.params.items()
@@ -425,7 +428,6 @@ class IncrementalRunner:
             "metrics": {
                 "nme_accuracy": self.metrics.nme_accuracy,
                 "cnn_accuracy": self.metrics.cnn_accuracy,
-                "seen_classes": self.metrics.seen_classes,
             },
         }
 
@@ -436,19 +438,26 @@ class IncrementalRunner:
         """A fresh runner for ``config`` with the learned state of ``to_state`` loaded.
 
         Fields the config or schedule fix (margin, budget, shapes, the class
-        order) come from them; a stored copy, as older checkpoints hold, is
-        ignored, and so is a stored seed: the parameters and RNG state it
-        would seed are loaded. Every field is read by ``read_field``; a missing,
-        malformed or impossible one raises ``FormatError`` naming its dotted path.
+        order, the running class count) come from them; a stored copy, as older
+        checkpoints hold, is ignored, and so are a stored seed and task cursor:
+        the parameters and RNG state a seed would seed are loaded, and the
+        number of NME accuracies is the cursor. Every field is read by
+        ``read_field``; a missing, malformed or impossible one raises
+        ``FormatError`` naming its dotted path.
         """
-        cursor, where = read_field(state, ("task_cursor",), (), integer=True)
-        if not 0 <= cursor <= schedule.num_tasks:
-            raise FormatError(f"checkpoint field {where} is not in 0..{schedule.num_tasks}")
-        runner = cls(schedule, config, dataset, seed=0)
-        runner.task_cursor = cursor = int(cursor)
-        sizes = [len(schedule.task_classes(t)) for t in range(cursor)]
-        seen = np.cumsum(sizes, dtype=int).tolist()  # classes seen after each finished task
+        nme, nme_at = read_field(state, ("metrics", "nme_accuracy"), (None,))
+        cursor = nme.size  # the number of scored tasks
+        if cursor > schedule.num_tasks:
+            raise FormatError(f"checkpoint field {nme_at} holds {cursor} accuracies, more than "
+                              f"the schedule's {schedule.num_tasks} tasks")
+        cnn, cnn_at = read_field(state, ("metrics", "cnn_accuracy"), (cursor,))
+        for acc, where in ((nme, nme_at), (cnn, cnn_at)):
+            if ((acc < 0) | (acc > 1)).any():
+                raise FormatError(f"checkpoint field {where} holds an accuracy outside [0, 1]")
+        seen = [schedule.positions(t).stop for t in range(cursor)]  # after each scored task
         n_classes = seen[-1] if seen else 0
+        runner = cls(schedule, config, dataset, seed=0)
+        runner.metrics = RunMetrics(nme.tolist(), cnn.tolist(), seen)
 
         # the fresh runner's parameters carry the expected names and shapes
         params, where = read_field(state, ("backbone", "params"))
@@ -498,18 +507,6 @@ class IncrementalRunner:
             runner.rng.bit_generator.state = rng
         except (KeyError, TypeError, ValueError) as err:
             raise FormatError(f"checkpoint field {where} is not a generator state ({err!r})")
-
-        accs = []
-        for name in ("nme_accuracy", "cnn_accuracy"):
-            acc, where = read_field(state, ("metrics", name), (cursor,))
-            if ((acc < 0) | (acc > 1)).any():
-                raise FormatError(f"checkpoint field {where} holds an accuracy outside [0, 1]")
-            accs.append(acc.tolist())
-        counts, where = read_field(state, ("metrics", "seen_classes"), (cursor,), integer=True)
-        if counts.tolist() != seen:
-            raise FormatError(f"checkpoint field {where} is not the schedule's running class "
-                              f"count {seen}")
-        runner.metrics = RunMetrics(*accs, seen)
         return runner
 
 

@@ -38,6 +38,10 @@ batch_size = 16
 
 TINY_INCREMENTAL = TINY_CONFIG.replace("initial_task_size = 4", "initial_task_size = 2")
 
+# 6 classes (2, then 4 tasks of 1), 9 exemplars shared, a finetune after every later task
+SIX_CLASSES = TINY_INCREMENTAL.replace("classes = 4", "classes = 6") + (
+    "memory_mode = total\nmemory_total = 9\nbalanced_finetune = true\n")
+
 
 def _write(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
@@ -180,7 +184,7 @@ def test_run_outputs_summary_and_plot_data(tmp_path):
     text = open(os.path.join(out, "summary.json")).read()
     summary = json.loads(text)
     assert text == json.dumps(summary, indent=2)
-    assert summary["tasks"] == 3
+    assert summary["tasks"] == summary["timed_tasks"] == 3
     assert 0.0 <= summary["avg_incremental_accuracy"]["nme"] <= 1.0
     assert summary["seed"] == 0
     # flags such as balanced_finetune are recorded once, in the config echo
@@ -287,13 +291,13 @@ def test_resume_rejects_mismatched_config(tmp_path, capsys):
     assert main(["run", other, "--output", out, "--resume"]) == 1
 
 
-def _checkpointed_out_dir(tmp_path, tasks=0):
-    """A config and an output dir holding a valid checkpoint.json written after
-    ``tasks`` finished tasks."""
+def _checkpointed_out_dir(tmp_path, tasks=0, text=TINY_INCREMENTAL):
+    """A config of ``text`` and an output dir holding a valid checkpoint.json
+    written after ``tasks`` finished tasks."""
     from podlearn.checkpoint import save_run_checkpoint
     from podlearn.protocol import IncrementalRunner
 
-    cfg_path = _write(tmp_path, TINY_INCREMENTAL)
+    cfg_path = _write(tmp_path, text)
     cfg = ExperimentConfig.from_file(cfg_path)
     ds = cfg.load_data()
     runner = IncrementalRunner(cfg.schedule(), cfg.run_config(ds.input_shape), ds, cfg.seed)
@@ -347,13 +351,16 @@ def test_resume_parent_layout_checkpoint_matches_full_run(tmp_path):
     blob = json.loads(ckpt.read_text())
     state = blob["runner"]
     # the runner stores only learned state: nothing the config or schedule fix
-    assert sorted(state) == ["backbone", "bank", "memory", "metrics", "rng", "task_cursor"]
+    assert sorted(state) == ["backbone", "bank", "memory", "metrics", "rng"]
     assert (sorted(state["backbone"]), sorted(state["bank"]), sorted(state["memory"])) == (
         ["params"], ["eta", "theta"], ["per_class"])
-    assert sorted(state["metrics"]) == ["cnn_accuracy", "nme_accuracy", "seen_classes"]
-    # add back the copies of config values that checkpoints of the older layout carry
+    assert sorted(state["metrics"]) == ["cnn_accuracy", "nme_accuracy"]
+    # add back the copies of config values and of the run's progress that
+    # checkpoints of the older layout carry
     state["class_map"] = ExperimentConfig.from_file(cfg_path).schedule().task_classes(0)
     state["seed"] = 0
+    state["task_cursor"] = 1
+    state["metrics"]["seen_classes"] = [2]
     state["backbone"].update(version=1, config={
         "input_shape": [2, 6, 6], "stages": [[4, 1], [8, 1]], "embedding_dim": 8})
     state["bank"].update(dim=8, proxies_per_class=2, delta=0.6, eta_floor=1.0)
@@ -363,6 +370,31 @@ def test_resume_parent_layout_checkpoint_matches_full_run(tmp_path):
     assert blob["version"] == 1
     assert main(["run", cfg_path, "--output", str(out), "--resume"]) == 0
     assert (out / "metrics.csv").read_bytes() == full
+
+
+@pytest.fixture(scope="module")
+def six_class_full_run(tmp_path_factory):
+    """The output dir of a full ``SIX_CLASSES`` run."""
+    tmp = tmp_path_factory.mktemp("six_classes")
+    out = tmp / "full"
+    assert main(["run", _write(tmp, SIX_CLASSES), "--output", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("tasks", range(5))
+def test_resumed_run_ends_with_the_full_runs_checkpoint(tmp_path, six_class_full_run, tasks):
+    cfg_path, out = _checkpointed_out_dir(tmp_path, tasks, SIX_CLASSES)
+    assert main(["run", cfg_path, "--output", str(out), "--resume"]) == 0
+    for name in ("checkpoint.json", "metrics.csv"):
+        assert (out / name).read_bytes() == (six_class_full_run / name).read_bytes()
+
+
+@pytest.mark.parametrize("tasks", [0, 1, 3])
+def test_resumed_summary_counts_the_tasks_its_wall_time_covers(tmp_path, tasks):
+    cfg_path, out = _checkpointed_out_dir(tmp_path, tasks)
+    assert main(["run", cfg_path, "--output", str(out), "--resume"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["tasks"], summary["timed_tasks"]) == (3, 3 - tasks)
 
 
 def test_resume_checkpoint_holding_a_seed_matches_full_run(tmp_path):
@@ -446,7 +478,7 @@ def test_checkpoint_write_that_fails_mid_run_exits_two_and_keeps_the_last_one(
     # both finished tasks are in metrics.csv; the checkpoint is the one after task 0
     assert (out / "metrics.csv").read_text().splitlines() == full.splitlines()[:3]
     ckpt = json.loads((out / "checkpoint.json").read_text())
-    assert ckpt["runner"]["task_cursor"] == 1
+    assert len(ckpt["runner"]["metrics"]["nme_accuracy"]) == 1
 
     monkeypatch.undo()
     assert main(["run", cfg_path, "--output", str(out), "--resume"]) == 0
@@ -554,6 +586,32 @@ def test_generate_writes_loadable_dataset(tmp_path):
     assert ds.train_y.size == 24
 
 
+def test_generate_writes_exactly_the_path_it_prints(tmp_path, capsys):
+    spec_path = _write(
+        tmp_path,
+        "classes = 4\nsamples_per_class = 20\nchannels = 2\nwidth = 6\nheight = 6",
+        "spec.cfg",
+    )
+    data = tmp_path / "data"  # no .npz suffix
+    assert main(["generate", spec_path, str(data)]) == 0
+    assert capsys.readouterr().out.endswith(f" to {data}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "spec.cfg"]
+    cfg_path = _write(tmp_path, TINY_CONFIG + f"\ndataset = npz:{data}\n")
+    assert main(["run", cfg_path, "--output", str(tmp_path / "out")]) == 0
+
+
+def test_generate_write_that_fails_leaves_no_file(tmp_path, capsys, monkeypatch):
+    def savez_part_then_fail(fh, **arrays):
+        fh.write(b"PK\x03\x04")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_part_then_fail)
+    spec_path = _write(tmp_path, "classes = 3\nsamples_per_class = 10", "spec.cfg")
+    assert main(["generate", spec_path, str(tmp_path / "data.npz")]) == 2
+    assert capsys.readouterr().err == "runtime failure: disk full\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.cfg"]
+
+
 def test_generate_bad_spec_exits_one(tmp_path):
     spec_path = _write(tmp_path, "classes = one", "spec.cfg")
     assert main(["generate", spec_path, str(tmp_path / "d.npz")]) == 1
@@ -655,8 +713,13 @@ def test_summarize_merges_runs(tmp_path, capsys):
     capsys.readouterr()  # drain the run logs
     assert main(["summarize", *outs]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0].startswith("directory,seed,tasks,avg_nme,avg_cnn")
+    assert lines[0] == "directory,seed,tasks,avg_nme,avg_cnn,timed_tasks,wall_time_seconds"
     assert len(lines) == 3
+    csv_path = tmp_path / "summary.csv"
+    assert main(["summarize", *outs, "--out", str(csv_path)]) == 0
+    assert csv_path.read_text().splitlines() == lines
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_file()) == [
+        "exp.cfg", "exp0.cfg", "exp1.cfg", "summary.csv"]
 
 
 def test_summarize_missing_dir_exits_one(tmp_path):

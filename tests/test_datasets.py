@@ -174,12 +174,10 @@ def test_cifar_label_out_of_range_rejected(tmp_path):
 
 
 def test_cifar_single_record_label_seven(tmp_path):
-    train = tmp_path / "train.bin"
-    test = tmp_path / "test.bin"
-    train.write_bytes(_record(7, pixel=128))
-    test.write_bytes(_record(7, pixel=128))
-    ds = ingest_cifar_binary(str(train), str(test))
-    assert ds.train_y.tolist() == [7]
+    (tmp_path / "train.bin").write_bytes(_record(7, pixel=128))
+    (tmp_path / "test.bin").write_bytes(_record(7, pixel=128))
+    ds = ingest_cifar_binary(str(tmp_path))
+    assert ds.train_y.tolist() == [7] and ds.test_y.tolist() == [7]
     assert ds.train_x.shape == (1, 3, 32, 32)
 
 

@@ -303,7 +303,8 @@ def test_runner_state_json_roundtrip_is_bit_exact(first_task_state):
     assert revived.to_state() == state
 
 
-@pytest.mark.parametrize("keys", [("rng",), ("metrics", "seen_classes"), ("task_cursor",)])
+@pytest.mark.parametrize("keys", [("rng",), ("metrics", "nme_accuracy"),
+                                  ("metrics", "cnn_accuracy")])
 def test_runner_state_names_a_missing_field(first_task_state, keys):
     ds, sched, cfg, _, state = first_task_state()
     node = state
@@ -317,15 +318,19 @@ def test_runner_state_names_a_missing_field(first_task_state, keys):
 
 def test_runner_state_rejects_inconsistent_progress(first_task_state):
     ds, sched, cfg, _, state = first_task_state()
-    for keys, value in ((("task_cursor",), 4), (("metrics", "nme_accuracy"), []),
-                        (("memory", "per_class"), {"0": [], "1": [], "2": []}),
-                        (("rng",), {"bit_generator": "PCG64"})):
+    for keys, value, named in (
+            # more scored tasks than the schedule's 3
+            (("metrics", "nme_accuracy"), [0.5] * 4, "metrics.nme_accuracy"),
+            # NME and CNN lists of different lengths
+            (("metrics", "nme_accuracy"), [], "metrics.cnn_accuracy"),
+            (("memory", "per_class"), {"0": [], "1": [], "2": []}, "memory.per_class"),
+            (("rng",), {"bit_generator": "PCG64"}, "rng")):
         broken = copy.deepcopy(state)
         node = broken
         for key in keys[:-1]:
             node = node[key]
         node[keys[-1]] = value
-        with pytest.raises(FormatError, match="runner." + ".".join(keys)):
+        with pytest.raises(FormatError, match="runner." + named):
             IncrementalRunner.from_state(sched, cfg, ds, broken)
 
 
@@ -341,11 +346,9 @@ def _first_exemplar_twice(state):
     (("memory", "per_class", "0"), _first_exemplar_twice),
     (("bank", "theta"), lambda state: np.zeros(np.shape(state["bank"]["theta"])).tolist()),
     (("metrics", "nme_accuracy"), lambda state: [7.0]),
-    (("metrics", "seen_classes"), lambda state: [3]),
-    (("task_cursor",), lambda state: True),
     (("backbone", "params", "head.bias", "shape"), lambda state: [-1]),
 ], ids=["eta_negative", "eta_zero", "exemplars_empty", "exemplar_repeated", "proxies_zero",
-        "nme_above_one", "seen_classes_off_schedule", "cursor_bool", "param_shape_minus_one"])
+        "nme_above_one", "param_shape_minus_one"])
 def test_runner_state_no_run_can_write_is_rejected(first_task_state, keys, corrupt):
     # no run writes these values; the load itself must fail, not a later task
     ds, sched, cfg, _, state = first_task_state()
@@ -361,7 +364,7 @@ def test_runner_state_no_run_can_write_is_rejected(first_task_state, keys, corru
 def test_fresh_runner_state_round_trips(first_task_state):
     ds, sched, cfg, _, _ = first_task_state()
     state = json.loads(json.dumps(IncrementalRunner(sched, cfg, ds, seed=2).to_state()))
-    assert state["task_cursor"] == 0 and state["bank"]["theta"] == []
+    assert state["metrics"]["nme_accuracy"] == [] and state["bank"]["theta"] == []
     revived = IncrementalRunner.from_state(sched, cfg, ds, state)
     assert revived.bank.theta.shape == (0, cfg.proxies_per_class, cfg.backbone.embedding_dim)
     assert revived.to_state() == state
