@@ -87,28 +87,28 @@ def class_templates(spec: SyntheticSpec) -> np.ndarray:
 
 
 def dataset_from_templates(templates: np.ndarray, spec: SyntheticSpec, seed: int) -> Dataset:
-    """Template + Gaussian noise samples, deterministic 80/20 split per class."""
+    """Template + Gaussian noise samples, deterministic 80/20 split per class.
+
+    The noise is drawn straight into the two preallocated splits, class by
+    class, so generation holds no copy of a split.
+    """
     if templates.shape != (spec.classes, spec.channels, spec.width, spec.height):
         raise ContractError(f"templates shape {templates.shape} does not match spec")
     noise_rng = np.random.default_rng(seed)
-    train_x, train_y, test_x, test_y = [], [], [], []
     n = spec.samples_per_class
     n_train = max(1, int(round(0.8 * n)))
     shape = (spec.channels, spec.width, spec.height)
+    train_x = np.empty((spec.classes * n_train, *shape))
+    test_x = np.empty((spec.classes * (n - n_train), *shape))
     for c in range(spec.classes):
-        samples = templates[c][None] + spec.noise_sigma * noise_rng.normal(
-            0.0, 1.0, size=(n, *shape)
-        )
-        train_x.append(samples[:n_train])
-        test_x.append(samples[n_train:])
-        train_y.append(np.full(n_train, c))
-        test_y.append(np.full(n - n_train, c))
-    return Dataset(
-        np.concatenate(train_x),
-        np.concatenate(train_y).astype(np.int64),
-        np.concatenate(test_x),
-        np.concatenate(test_y).astype(np.int64),
-    )
+        # a class's n draws, its first n_train rows going to train
+        for x, m in ((train_x, n_train), (test_x, n - n_train)):
+            rows = x[c * m : (c + 1) * m]
+            noise_rng.standard_normal(out=rows)
+            rows *= spec.noise_sigma
+            rows += templates[c]
+    labels = np.arange(spec.classes, dtype=np.int64)
+    return Dataset(train_x, np.repeat(labels, n_train), test_x, np.repeat(labels, n - n_train))
 
 
 def generate_synthetic_dataset(spec: SyntheticSpec, seed: int = 0) -> Dataset:
@@ -127,6 +127,7 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int = 0) -> Dataset:
 
 
 def _read_cifar_records(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The raw uint8 records of ``path`` and their fine labels."""
     raw = np.fromfile(path, dtype=np.uint8)
     if raw.size == 0:
         raise FormatError(f"{path}: empty file")
@@ -138,8 +139,14 @@ def _read_cifar_records(path: str) -> tuple[np.ndarray, np.ndarray]:
     labels = records[:, 1].astype(np.int64)  # byte 0 is the coarse label
     if labels.max() >= _CIFAR_CLASSES:
         raise FormatError(f"{path}: fine label >= {_CIFAR_CLASSES}")
-    pixels = records[:, 2:].astype(np.float64).reshape(-1, 3, 32, 32) / 255.0
-    return pixels, labels
+    return records, labels
+
+
+def _pixels(records: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Records ``idx`` as (N, 3, 32, 32) float64 pixels in [0, 1], one copy."""
+    x = records[idx, 2:].astype(np.float64).reshape(-1, 3, 32, 32)
+    x /= 255.0
+    return x
 
 
 def ingest_cifar_binary(path: str, classes: int | None = None) -> Dataset:
@@ -148,15 +155,18 @@ def ingest_cifar_binary(path: str, classes: int | None = None) -> Dataset:
     ``path`` is a ``train.bin`` file or a directory holding ``train.bin`` and,
     optionally, ``test.bin``. Without a test file, each class is split 80/20
     in record order. ``classes`` keeps only fine labels below that count.
-    Standardization statistics always come from the train split.
+    Standardization statistics always come from the train split. The splits
+    are picked on the raw records, so each is converted to float64 once.
     """
     test_path = None
     if os.path.isdir(path):
         path, test_path = os.path.join(path, "train.bin"), os.path.join(path, "test.bin")
-    train_x, train_y = _read_cifar_records(path)
+    train_rec, train_y = _read_cifar_records(path)
     if test_path is not None and os.path.exists(test_path):
-        test_x, test_y = _read_cifar_records(test_path)
+        test_rec, test_y = _read_cifar_records(test_path)
+        tr_idx, te_idx = np.arange(train_y.size), np.arange(test_y.size)
     else:
+        test_rec = train_rec
         tr_idx, te_idx = [], []
         for c in np.unique(train_y):
             idx = np.flatnonzero(train_y == c)
@@ -165,26 +175,22 @@ def ingest_cifar_binary(path: str, classes: int | None = None) -> Dataset:
             te_idx.append(idx[cut:])
         tr_idx = np.concatenate(tr_idx)
         te_idx = np.concatenate(te_idx)
-        test_x, test_y = train_x[te_idx], train_y[te_idx]
-        train_x, train_y = train_x[tr_idx], train_y[tr_idx]
+        test_y = train_y
 
     if classes is not None:
-        keep = train_y < classes
-        train_x, train_y = train_x[keep], train_y[keep]
-        keep = test_y < classes
-        test_x, test_y = test_x[keep], test_y[keep]
-        if train_y.size == 0:
+        tr_idx = tr_idx[train_y[tr_idx] < classes]
+        te_idx = te_idx[test_y[te_idx] < classes]
+        if tr_idx.size == 0:
             raise FormatError(f"no records with label < {classes}")
 
+    train_x, test_x = _pixels(train_rec, tr_idx), _pixels(test_rec, te_idx)
     mean = train_x.mean(axis=(0, 2, 3), keepdims=True)
     std = train_x.std(axis=(0, 2, 3), keepdims=True)
     std = np.where(std > 0, std, 1.0)
-    return Dataset(
-        (train_x - mean) / std,
-        train_y,
-        (test_x - mean) / std,
-        test_y,
-    )
+    for x in (train_x, test_x):
+        x -= mean
+        x /= std
+    return Dataset(train_x, train_y[tr_idx], test_x, test_y[te_idx])
 
 
 def save_dataset(ds: Dataset, path: str) -> None:
@@ -203,11 +209,14 @@ def load_dataset(path: str) -> Dataset:
     """
     names = ("train_x", "train_y", "test_x", "test_y")
     try:
-        archive = np.load(path, allow_pickle=False)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise FormatError(f"{path}: a single array, not an npz archive")
-        with archive:
-            arrays = {name: archive[name] for name in names if name in archive.files}
+        # np.load(path) leaves its file open when the zip fails to parse;
+        # holding the handle here closes it on every path
+        with open(path, "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise FormatError(f"{path}: a single array, not an npz archive")
+            with archive:
+                arrays = {name: archive[name] for name in names if name in archive.files}
     except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as err:
         raise FormatError(f"{path}: not a readable npz archive ({err})")
     for name in names:

@@ -232,8 +232,12 @@ def kmeans(points: np.ndarray, k: int, iters: int = 25, seed=0) -> np.ndarray:
         d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
 
     labels = None
+    # one centroid's column at a time, never an (N, k, D) temporary; the
+    # GEMM form |p|^2 - 2 p.c + |c|^2 rounds differently and can move ties
+    dist2 = np.empty((n, k))
     for _ in range(iters):
-        dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        for j in range(k):
+            dist2[:, j] = ((points - centroids[j]) ** 2).sum(axis=1)
         new_labels = dist2.argmin(axis=1)
         own = dist2[np.arange(n), new_labels]
         counts = np.bincount(new_labels, minlength=k)

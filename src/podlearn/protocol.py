@@ -184,27 +184,30 @@ def _cosine_lr(base: float, epoch: int, total_epochs: int) -> float:
     return base * 0.5 * (1.0 + math.cos(math.pi * epoch / total_epochs))
 
 
-def _forward_rows(model: Backbone, x: np.ndarray, rows_of, batch: int = 64) -> np.ndarray:
-    """``rows_of(StageOutputs)`` for every row of ``x``, from no-grad forwards.
+def _forward_rows(model: Backbone, x: np.ndarray, rows: np.ndarray, rows_of,
+                  batch: int = 64) -> np.ndarray:
+    """``rows_of(StageOutputs)`` for the rows ``x[rows]``, from no-grad forwards.
 
-    The chunks' rows fill one array allocated from the first chunk, so only
-    one chunk's stage maps are alive at a time. Zero rows of ``x`` still run
-    one empty forward, which gives an empty array of the right width.
+    Each chunk gathers its rows of ``x`` by index, and the chunks' results
+    fill one array allocated from the first chunk, so only one chunk's input
+    and stage maps are alive at a time and ``x[rows]`` is never copied whole.
+    Zero rows still run one empty forward, which gives an empty array of the
+    right width.
     """
     # chunks of 64 keep conv2d's column matrices (up to KW*KH times the size
     # of their input map) below the peak memory a training step reaches anyway
     out = None
-    for lo in range(0, max(x.shape[0], 1), batch):
+    for lo in range(0, max(rows.size, 1), batch):
         with no_grad():
-            chunk = rows_of(model.forward_with_stages(Tensor(x[lo : lo + batch])))
+            chunk = rows_of(model.forward_with_stages(Tensor(x[rows[lo : lo + batch]])))
         if out is None:
-            out = np.empty((x.shape[0], chunk.shape[1]))
+            out = np.empty((rows.size, chunk.shape[1]))
         out[lo : lo + batch] = chunk
     return out
 
 
-def _embed_all(model: Backbone, x: np.ndarray, batch: int = 64) -> np.ndarray:
-    return _forward_rows(model, x, lambda outs: outs.embedding.data, batch)
+def _embed_all(model: Backbone, x: np.ndarray, rows: np.ndarray, batch: int = 64) -> np.ndarray:
+    return _forward_rows(model, x, rows, lambda outs: outs.embedding.data, batch)
 
 
 def evaluate(
@@ -215,22 +218,26 @@ def evaluate(
     test_y: np.ndarray,
     train_x: np.ndarray,
 ) -> tuple[float, float]:
-    """NME and CNN accuracy over the cumulative test set, from one embedding.
+    """NME and CNN accuracy over the test rows of seen classes, from one embedding.
 
-    NME predicts the nearest (cosine) class mean of stored exemplars,
-    recomputed with the current model from ``train_x``; CNN predicts the
-    argmax of the classifier scores.
+    The rows scored are those whose label is below ``bank.num_classes``;
+    rows of classes not yet seen are left out of both accuracies. NME
+    predicts the nearest (cosine) class mean of stored exemplars, recomputed
+    with the current model from ``train_x``; CNN predicts the argmax of the
+    classifier scores.
     """
     test_y = np.asarray(test_y)
-    if test_y.size == 0:
-        raise ContractError("empty test set")
-    if test_y.max() >= bank.num_classes or test_y.min() < 0:
-        raise ContractError("test labels refer to unseen classes")
+    if test_y.size and test_y.min() < 0:
+        raise ContractError("negative test labels")
+    rows = np.flatnonzero(test_y < bank.num_classes)
+    if rows.size == 0:
+        raise ContractError("no test rows of a seen class")
     if len(memory.per_class) != bank.num_classes:
         raise ContractError("memory does not cover every seen class")
-    means = memory.class_means(_embed_all(model, train_x[memory.indices()]))
+    means = memory.class_means(_embed_all(model, train_x, memory.indices()))
 
-    emb = _embed_all(model, test_x)
+    emb = _embed_all(model, test_x, rows)
+    labels = test_y[rows]
     nme_preds = (unit_vectors(emb)[0] @ means.T).argmax(axis=1)
     # score in row chunks whose (rows, C*K) similarity block stays near
     # _SCORE_BLOCK doubles, so the transient does not grow with the classes
@@ -240,7 +247,7 @@ def evaluate(
             lsc_scores(Tensor(emb[i : i + step]), bank).data.argmax(axis=1)
             for i in range(0, emb.shape[0], step)
         ])
-    return float((nme_preds == test_y).mean()), float((cnn_preds == test_y).mean())
+    return float((nme_preds == labels).mean()), float((cnn_preds == labels).mean())
 
 
 class IncrementalRunner:
@@ -296,7 +303,7 @@ class IncrementalRunner:
     def _class_embeddings(self, classes: range) -> list[tuple[np.ndarray, np.ndarray]]:
         """Train indices and unit embeddings of each class, from one forward."""
         parts = [np.flatnonzero(self.train_y == c) for c in classes]
-        emb = _embed_all(self.backbone, self.dataset.train_x[np.concatenate(parts)])
+        emb = _embed_all(self.backbone, self.dataset.train_x, np.concatenate(parts))
         return list(zip(parts, np.split(unit_vectors(emb)[0], np.cumsum([p.size for p in parts]))))
 
     def run_next_task(self) -> dict:
@@ -325,10 +332,8 @@ class IncrementalRunner:
             if cfg.balanced_finetune and t > 0:
                 self._balanced_finetune()
 
-            seen_test = self.test_y < seen
             nme, cnn = evaluate(self.backbone, self.bank, self.memory,
-                                self.dataset.test_x[seen_test], self.test_y[seen_test],
-                                self.dataset.train_x)
+                                self.dataset.test_x, self.test_y, self.dataset.train_x)
         except Exception as err:
             err.args = (f"task {t}: {err}",)
             raise
@@ -385,7 +390,7 @@ class IncrementalRunner:
             # the teacher is the backbone before its first step of this task
             # (imprinting never touches it), and it stays frozen for the whole
             # task: reduce it to its POD targets over the pool once
-            targets = _forward_rows(self.backbone, self.dataset.train_x[indices],
+            targets = _forward_rows(self.backbone, self.dataset.train_x, indices,
                                     lambda outs: pod_targets(outs, cfg.pod.mode))
 
         def batch_loss(sel):
@@ -405,7 +410,7 @@ class IncrementalRunner:
         indices = self.memory.indices()
         labels = self.train_y[indices]
         # the backbone is frozen here: embed the memory once
-        emb = _embed_all(self.backbone, self.dataset.train_x[indices])
+        emb = _embed_all(self.backbone, self.dataset.train_x, indices)
 
         def batch_loss(sel):
             return self._classifier_loss(lsc_scores(Tensor(emb[sel]), self.bank), labels[sel])

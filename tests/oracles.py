@@ -2,12 +2,15 @@
 
 Almost everything here is written as literal index loops over Python floats,
 on purpose: these functions restate the definitions directly and share no
-code with the package. :func:`conv2d_loop` is the exception, a numpy
-im2col/col2im convolution kept as the bitwise reference for the engine's.
+code with the package. The exceptions are numpy references kept for bitwise
+comparison: :func:`conv2d_loop`, an im2col/col2im convolution, and the
+dataset builders :func:`dataset_from_templates_oracle` and
+:func:`ingest_cifar_oracle`, which make every split by copying.
 """
 
 import itertools
 import math
+import os
 
 import numpy as np
 
@@ -222,3 +225,63 @@ def class_mean_oracle(embeddings):
     d = len(rows[0])
     mean = [sum(r[j] for r in rows) / len(rows) for j in range(d)]
     return _normalized(mean)
+
+
+def dataset_from_templates_oracle(templates, spec, seed):
+    """Synthetic splits as four arrays, by drawing each class's n samples at
+    once and concatenating the per-class lists (the bitwise reference for
+    the in-place generator)."""
+    noise_rng = np.random.default_rng(seed)
+    train_x, train_y, test_x, test_y = [], [], [], []
+    n = spec.samples_per_class
+    n_train = max(1, int(round(0.8 * n)))
+    shape = (spec.channels, spec.width, spec.height)
+    for c in range(spec.classes):
+        samples = templates[c][None] + spec.noise_sigma * noise_rng.normal(
+            0.0, 1.0, size=(n, *shape)
+        )
+        train_x.append(samples[:n_train])
+        test_x.append(samples[n_train:])
+        train_y.append(np.full(n_train, c))
+        test_y.append(np.full(n - n_train, c))
+    return (np.concatenate(train_x), np.concatenate(train_y).astype(np.int64),
+            np.concatenate(test_x), np.concatenate(test_y).astype(np.int64))
+
+
+def _cifar_pixels_oracle(path):
+    records = np.fromfile(path, dtype=np.uint8).reshape(-1, 3074)
+    labels = records[:, 1].astype(np.int64)
+    return records[:, 2:].astype(np.float64).reshape(-1, 3, 32, 32) / 255.0, labels
+
+
+def ingest_cifar_oracle(path, classes=None):
+    """CIFAR-100 splits as four arrays, by converting every record, then
+    splitting, filtering and standardizing copies (the bitwise reference for
+    the in-place ingestion). Takes only well-formed files."""
+    test_path = None
+    if os.path.isdir(path):
+        path, test_path = os.path.join(path, "train.bin"), os.path.join(path, "test.bin")
+    train_x, train_y = _cifar_pixels_oracle(path)
+    if test_path is not None and os.path.exists(test_path):
+        test_x, test_y = _cifar_pixels_oracle(test_path)
+    else:
+        tr_idx, te_idx = [], []
+        for c in np.unique(train_y):
+            idx = np.flatnonzero(train_y == c)
+            cut = max(1, int(round(0.8 * idx.size)))
+            tr_idx.append(idx[:cut])
+            te_idx.append(idx[cut:])
+        tr_idx = np.concatenate(tr_idx)
+        te_idx = np.concatenate(te_idx)
+        test_x, test_y = train_x[te_idx], train_y[te_idx]
+        train_x, train_y = train_x[tr_idx], train_y[tr_idx]
+    if classes is not None:
+        keep = train_y < classes
+        train_x, train_y = train_x[keep], train_y[keep]
+        keep = test_y < classes
+        test_x, test_y = test_x[keep], test_y[keep]
+    mean = train_x.mean(axis=(0, 2, 3), keepdims=True)
+    std = train_x.std(axis=(0, 2, 3), keepdims=True)
+    std = np.where(std > 0, std, 1.0)
+    return (train_x - mean) / std, train_y, (test_x - mean) / std, test_y
+

@@ -171,7 +171,7 @@ def test_run_single_task_writes_one_row(tmp_path):
     cfg_path = _write(tmp_path, TINY_CONFIG)
     out = str(tmp_path / "out")
     assert main(["run", cfg_path, "--output", out]) == 0
-    lines = open(os.path.join(out, "metrics.csv")).read().strip().splitlines()
+    lines = Path(os.path.join(out, "metrics.csv")).read_text().strip().splitlines()
     assert lines[0] == "task_index,seen_classes,nme_accuracy,cnn_accuracy"
     assert len(lines) == 2
     assert lines[1].startswith("0,4,")
@@ -181,7 +181,7 @@ def test_run_outputs_summary_and_plot_data(tmp_path):
     cfg_path = _write(tmp_path, TINY_INCREMENTAL)
     out = str(tmp_path / "out")
     assert main(["run", cfg_path, "--output", out]) == 0
-    text = open(os.path.join(out, "summary.json")).read()
+    text = Path(os.path.join(out, "summary.json")).read_text()
     summary = json.loads(text)
     assert text == json.dumps(summary, indent=2)
     assert summary["tasks"] == summary["timed_tasks"] == 3
@@ -192,7 +192,7 @@ def test_run_outputs_summary_and_plot_data(tmp_path):
     # config echo reparses to an equal config
     echoed = ExperimentConfig.from_dict(summary["config"])
     assert echoed == ExperimentConfig.from_file(cfg_path)
-    plot = open(os.path.join(out, "plot_data.csv")).read().strip().splitlines()
+    plot = Path(os.path.join(out, "plot_data.csv")).read_text().strip().splitlines()
     assert plot[0] == "mode,task_index,seen_classes,accuracy"
     assert len(plot) == 1 + 2 * 3  # both modes, three tasks
     # the atomic writers leave no temporary file (metrics.csv.tmp included)
@@ -206,8 +206,8 @@ def test_rerun_same_seed_byte_identical_metrics(tmp_path):
     out_b = str(tmp_path / "b")
     assert main(["run", cfg_path, "--output", out_a]) == 0
     assert main(["run", cfg_path, "--output", out_b]) == 0
-    a = open(os.path.join(out_a, "metrics.csv"), "rb").read()
-    b = open(os.path.join(out_b, "metrics.csv"), "rb").read()
+    a = Path(os.path.join(out_a, "metrics.csv")).read_bytes()
+    b = Path(os.path.join(out_b, "metrics.csv")).read_bytes()
     assert a == b
 
 
@@ -266,7 +266,7 @@ def test_resume_from_checkpoint_completes_run(tmp_path):
     cfg_path = _write(tmp_path, TINY_INCREMENTAL)
     out = str(tmp_path / "out")
     assert main(["run", cfg_path, "--output", out]) == 0
-    full = open(os.path.join(out, "metrics.csv")).read()
+    full = Path(os.path.join(out, "metrics.csv")).read_text()
 
     # truncate the checkpoint back to after task 0 and resume
     cfg = ExperimentConfig.from_file(cfg_path)
@@ -279,7 +279,7 @@ def test_resume_from_checkpoint_completes_run(tmp_path):
     save_run_checkpoint(os.path.join(out, "checkpoint.json"), cfg.to_dict(),
                         runner.to_state())
     assert main(["run", cfg_path, "--output", out, "--resume"]) == 0
-    resumed = open(os.path.join(out, "metrics.csv")).read()
+    resumed = Path(os.path.join(out, "metrics.csv")).read_text()
     assert resumed == full
 
 
@@ -344,7 +344,7 @@ def test_resume_parent_layout_checkpoint_matches_full_run(tmp_path):
     cfg_path = _write(tmp_path, TINY_INCREMENTAL)
     full_out = str(tmp_path / "full")
     assert main(["run", cfg_path, "--output", full_out]) == 0
-    full = open(os.path.join(full_out, "metrics.csv"), "rb").read()
+    full = Path(os.path.join(full_out, "metrics.csv")).read_bytes()
 
     cfg_path, out = _checkpointed_out_dir(tmp_path, tasks=1)
     ckpt = out / "checkpoint.json"
@@ -403,7 +403,7 @@ def test_resume_checkpoint_holding_a_seed_matches_full_run(tmp_path):
     cfg_path = _write(tmp_path, TINY_INCREMENTAL)
     full_out = str(tmp_path / "full")
     assert main(["run", cfg_path, "--output", full_out]) == 0
-    full = open(os.path.join(full_out, "metrics.csv"), "rb").read()
+    full = Path(os.path.join(full_out, "metrics.csv")).read_bytes()
 
     cfg_path, out = _checkpointed_out_dir(tmp_path, tasks=1)
     ckpt = out / "checkpoint.json"

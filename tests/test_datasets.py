@@ -1,3 +1,6 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,6 +17,8 @@ from podlearn.datasets import (
     save_dataset,
 )
 from podlearn.errors import ConfigError, ContractError, FormatError
+
+from oracles import dataset_from_templates_oracle, ingest_cifar_oracle
 
 
 def test_spec_validation():
@@ -58,6 +63,50 @@ def test_generation_is_seeded():
     assert not np.allclose(t1, t2)
 
 
+def _assert_splits_equal(ds, want):
+    for name, expected in zip(("train_x", "train_y", "test_x", "test_y"), want):
+        got = getattr(ds, name)
+        assert got.dtype == expected.dtype, name
+        assert np.array_equal(got, expected), name
+
+
+def _traced_peak(build):
+    """``build()``'s result and the peak bytes it held beyond what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = build()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def _split_bytes(ds):
+    return sum(a.nbytes for a in (ds.train_x, ds.train_y, ds.test_x, ds.test_y))
+
+
+@pytest.mark.parametrize("spec", [
+    SyntheticSpec(),
+    SyntheticSpec(classes=50, samples_per_class=50, width=4, height=4),
+    SyntheticSpec(samples_per_class=1000),
+    SyntheticSpec(classes=3, samples_per_class=20, noise_sigma=0.0),
+    SyntheticSpec(classes=4, samples_per_class=2),
+], ids=["a5", "wide", "embed_heavy", "noiseless", "two_per_class"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_generation_equals_the_copying_oracle(spec, seed):
+    templates = class_templates(spec)
+    ds = dataset_from_templates(templates, spec, seed)
+    _assert_splits_equal(ds, dataset_from_templates_oracle(templates, spec, seed))
+
+
+def test_peak_memory_of_synthetic_generation():
+    # the noise is drawn into the splits themselves: no second copy
+    ds, peak = _traced_peak(lambda: generate_synthetic_dataset(
+        SyntheticSpec(samples_per_class=1000)))
+    assert peak <= 1.25 * _split_bytes(ds), f"peak {peak / _split_bytes(ds):.2f}x the arrays"
+
+
 def test_templates_shape_guard():
     spec = SyntheticSpec(classes=4)
     with pytest.raises(ContractError):
@@ -86,7 +135,7 @@ def _saved_arrays(tmp_path, **override):
 
 def test_npz_truncated_or_not_a_zip_rejected(tmp_path):
     path = _saved_arrays(tmp_path)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     for content in (raw[: len(raw) // 2], b"not an archive at all"):
         with open(path, "wb") as fh:
             fh.write(content)
@@ -224,6 +273,34 @@ def test_cifar_standardization_uses_train_stats(tmp_path):
     npt.assert_allclose(stds, 1.0, atol=1e-12)
     # test split standardized with the same (train) statistics: nonzero mean
     assert abs(ds.test_x.mean()) > 0
+
+
+def _cifar_blob(n, rng, labels=100):
+    """``n`` records with random fine labels below ``labels`` and random pixels."""
+    records = rng.integers(0, 256, size=(n, 3074), dtype=np.uint8)
+    records[:, 1] = rng.integers(0, labels, size=n)
+    return records.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["file", "dir", "dir_with_test"])
+@pytest.mark.parametrize("classes", [None, 7])
+def test_cifar_ingestion_equals_the_copying_oracle(tmp_path, layout, classes):
+    rng = np.random.default_rng(5)
+    (tmp_path / "train.bin").write_bytes(_cifar_blob(120, rng, labels=12))
+    if layout == "dir_with_test":
+        (tmp_path / "test.bin").write_bytes(_cifar_blob(40, rng, labels=12))
+    path = str(tmp_path / "train.bin" if layout == "file" else tmp_path)
+    ds = ingest_cifar_binary(path, classes=classes)
+    _assert_splits_equal(ds, ingest_cifar_oracle(path, classes=classes))
+
+
+@pytest.mark.parametrize("classes, bound", [(None, 2.0), (50, 2.3)])
+def test_peak_memory_of_cifar_ingestion(tmp_path, classes, bound):
+    # splits are picked on the uint8 records, then converted once each
+    path = tmp_path / "train.bin"
+    path.write_bytes(_cifar_blob(2000, np.random.default_rng(6)))
+    ds, peak = _traced_peak(lambda: ingest_cifar_binary(str(path), classes=classes))
+    assert peak <= bound * _split_bytes(ds), f"peak {peak / _split_bytes(ds):.2f}x the arrays"
 
 
 def test_dataset_helpers():

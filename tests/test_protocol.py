@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -197,15 +198,24 @@ def test_evaluate_nme_hand_oracle_four_points():
     assert nme == 1.0
 
 
-def test_evaluate_rejects_unseen_labels():
+def test_evaluate_leaves_out_rows_of_unseen_classes():
+    # rows labelled past the seen classes count in neither accuracy
     ds = _tiny_dataset()
-    cfg = _tiny_config()
-    model = Backbone(cfg.backbone, seed=1)
+    model = Backbone(_tiny_config().backbone, seed=1)
     bank = ProxyBank(8, 2)
-    bank.add_class(np.random.default_rng(0).normal(size=(2, 8)))
-    mem = ExemplarMemory(PerClass(3))
-    with pytest.raises(ContractError):
-        evaluate(model, bank, mem, ds.test_x[:4], np.array([0, 0, 1, 1]), ds.train_x)
+    mem = ExemplarMemory(PerClass(2))
+    rng = np.random.default_rng(3)
+    for c in range(2):
+        bank.add_class(rng.normal(size=(2, 8)))
+        mem.add_class([int(i) for i in ds.train_indices_of(c)[:2]])
+    test_y = np.array([0, 2, 1, 3, 0, 2, 1, 1])
+    seen = test_y < 2
+    whole = evaluate(model, bank, mem, ds.test_x[:8], test_y, ds.train_x)
+    assert whole == evaluate(model, bank, mem, ds.test_x[:8][seen], test_y[seen], ds.train_x)
+    with pytest.raises(ContractError, match="no test rows of a seen class"):
+        evaluate(model, bank, mem, ds.test_x[:2], np.array([2, 3]), ds.train_x)
+    with pytest.raises(ContractError, match="negative test labels"):
+        evaluate(model, bank, mem, ds.test_x[:2], np.array([0, -1]), ds.train_x)
 
 
 def test_evaluate_embeds_the_test_set_once(monkeypatch):
@@ -223,9 +233,9 @@ def test_evaluate_embeds_the_test_set_once(monkeypatch):
     test_x, test_y = ds.test_x[:6], np.array([0, 1, 0, 1, 0, 1])
     sizes = []
 
-    def counting(m, x, batch=64):
-        sizes.append(x.shape[0])
-        return _embed_all(m, x, batch)
+    def counting(m, x, rows, batch=64):
+        sizes.append(rows.size)
+        return _embed_all(m, x, rows, batch)
 
     monkeypatch.setattr(protocol, "_embed_all", counting)
     evaluate(model, bank, mem, test_x, test_y, ds.train_x)
@@ -424,13 +434,62 @@ def test_large_memory_matches_joint_training_quality():
 def test_embed_all_chunk_size_does_not_change_embeddings():
     model = Backbone(BackboneConfig(), seed=3)
     x = np.random.default_rng(31).normal(size=(300, 3, 8, 8))
-    npt.assert_allclose(_embed_all(model, x, batch=64), _embed_all(model, x, batch=256),
-                        atol=1e-12)
+    rows = np.arange(300)
+    npt.assert_allclose(_embed_all(model, x, rows, batch=64),
+                        _embed_all(model, x, rows, batch=256), atol=1e-12)
 
 
 def test_embed_all_of_no_rows_is_empty_at_full_width():
     model = Backbone(BackboneConfig(), seed=3)
-    assert _embed_all(model, np.zeros((0, 3, 8, 8))).shape == (0, 32)
+    x = np.zeros((5, 3, 8, 8))
+    assert _embed_all(model, x, np.arange(0)).shape == (0, 32)
+
+
+def _forward_copied_rows(model, x, rows_of):
+    """The reference: ``x``'s rows gathered first, then 64 per no-grad forward."""
+    with no_grad():
+        return np.concatenate([rows_of(model.forward_with_stages(Tensor(x[lo : lo + 64])))
+                               for lo in range(0, max(x.shape[0], 1), 64)])
+
+
+def _embedding(outs):
+    return outs.embedding.data
+
+
+def _teacher_rows(outs):
+    return pod_targets(outs, PodConfig().mode)
+
+
+# three chunks, the last one partial; and no rows, which POD rejects
+@pytest.mark.parametrize("n_rows, rows_of", [(150, _embedding), (150, _teacher_rows),
+                                             (0, _embedding)])
+def test_forward_rows_by_index_equals_a_forward_of_the_gathered_rows(n_rows, rows_of):
+    model = Backbone(BackboneConfig(), seed=6)
+    rng = np.random.default_rng(33)
+    x = rng.normal(size=(400, 3, 8, 8))
+    rows = rng.choice(400, size=n_rows, replace=False)
+    got = _forward_rows(model, x, rows, rows_of)
+    want = _forward_copied_rows(model, x[rows], rows_of)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_peak_memory_of_embed_all_over_indexed_rows():
+    # 4,000 of 8,000 rows: gathered 64 at a time, never copied whole
+    model = Backbone(BackboneConfig(), seed=3)
+    x = np.random.default_rng(34).normal(size=(8000, 3, 8, 8))
+    rows = np.arange(0, 8000, 2)
+    copy_bytes = x[rows].nbytes
+    _embed_all(model, x, rows[:64])  # warm up lazily built state
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        emb = _embed_all(model, x, rows)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert emb.shape == (4000, 32)
+    assert peak < copy_bytes, f"peak {peak} bytes, the rows' copy takes {copy_bytes}"
 
 
 def test_cached_teacher_rows_match_a_fresh_teacher_forward():
@@ -439,7 +498,8 @@ def test_cached_teacher_rows_match_a_fresh_teacher_forward():
     student = Backbone(cfg, seed=5)
     rng = np.random.default_rng(32)
     x = rng.normal(size=(150, 3, 8, 8))  # three chunks, the last one partial
-    targets = _forward_rows(teacher, x, lambda outs: pod_targets(outs, PodConfig().mode))
+    targets = _forward_rows(teacher, x, np.arange(150),
+                            lambda outs: pod_targets(outs, PodConfig().mode))
     sel = rng.choice(150, size=32, replace=False)
     outs = student.forward_with_stages(Tensor(x[sel]))
     cached = pod_final(targets[sel], outs, PodConfig(), 1.3).item()
@@ -615,7 +675,7 @@ def test_labels_are_schedule_positions(monkeypatch):
     test_sets = []
 
     def spy(model, bank, memory, test_x, test_y, train_x):
-        test_sets.append(test_y)
+        test_sets.append(test_y[test_y < bank.num_classes])  # the rows evaluate scores
         return evaluate(model, bank, memory, test_x, test_y, train_x)
 
     monkeypatch.setattr(protocol, "evaluate", spy)
