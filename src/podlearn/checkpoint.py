@@ -40,8 +40,7 @@ def atomic_file(path: str, mode: str = "w"):
 
 def write_text_atomic(path: str, chunks: Iterable[str]) -> None:
     """Write ``chunks`` to ``path`` through :func:`atomic_file` as they come,
-    so a streamed document (such as ``JSONEncoder.iterencode``) is never held
-    in memory as one string."""
+    so a document made in pieces is never held in memory as one string."""
     with atomic_file(path) as fh:
         fh.writelines(chunks)
 
@@ -83,8 +82,28 @@ def read_field(state: dict, path: tuple[str, ...], shape=None, integer: bool = F
     return arr.astype(np.int64 if integer else np.float64), where
 
 
+def _json_pieces(obj) -> Iterable[str]:
+    """The text of ``json.dumps(obj)`` in pieces: an object with string keys
+    member by member, any other value whole.
+
+    Each piece goes through ``json.dumps``, the C encoder, which takes half
+    the time of ``JSONEncoder.iterencode``'s pure-Python one. Encoding one
+    member at a time bounds the encoder's temporaries by the largest member
+    (a parameter's value list) instead of the whole document.
+    """
+    if not (isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj)):
+        yield json.dumps(obj)
+        return
+    sep = "{"
+    for key, value in obj.items():
+        yield f"{sep}{json.dumps(key)}: "
+        yield from _json_pieces(value)
+        sep = ", "
+    yield "}"
+
+
 def save_run_checkpoint(path: str, config_echo: dict, runner_state: dict) -> None:
-    write_text_atomic(path, json.JSONEncoder().iterencode({
+    write_text_atomic(path, _json_pieces({
         "version": RUN_CHECKPOINT_VERSION,
         "config": config_echo,
         "runner": runner_state,

@@ -90,7 +90,9 @@ def dataset_from_templates(templates: np.ndarray, spec: SyntheticSpec, seed: int
     """Template + Gaussian noise samples, deterministic 80/20 split per class.
 
     The noise is drawn straight into the two preallocated splits, class by
-    class, so generation holds no copy of a split.
+    class, so generation holds no copy of a split. Each class's rows are
+    checked as they are drawn: ``ContractError`` when one is not finite, as
+    when ``noise_sigma`` is so large that the noise overflows.
     """
     if templates.shape != (spec.classes, spec.channels, spec.width, spec.height):
         raise ContractError(f"templates shape {templates.shape} does not match spec")
@@ -102,11 +104,14 @@ def dataset_from_templates(templates: np.ndarray, spec: SyntheticSpec, seed: int
     test_x = np.empty((spec.classes * (n - n_train), *shape))
     for c in range(spec.classes):
         # a class's n draws, its first n_train rows going to train
-        for x, m in ((train_x, n_train), (test_x, n - n_train)):
+        for name, x, m in (("train_x", train_x, n_train), ("test_x", test_x, n - n_train)):
             rows = x[c * m : (c + 1) * m]
             noise_rng.standard_normal(out=rows)
             rows *= spec.noise_sigma
             rows += templates[c]
+            if not np.isfinite(rows).all():
+                raise ContractError(f"synthetic dataset: field {name} holds non-finite values "
+                                    f"(noise_sigma={spec.noise_sigma!r})")
     labels = np.arange(spec.classes, dtype=np.int64)
     return Dataset(train_x, np.repeat(labels, n_train), test_x, np.repeat(labels, n - n_train))
 
@@ -118,12 +123,7 @@ def generate_synthetic_dataset(spec: SyntheticSpec, seed: int = 0) -> Dataset:
     ``noise_sigma`` is so large that the noise overflows.
     """
     with np.errstate(over="ignore"):
-        ds = dataset_from_templates(class_templates(spec), spec, seed)
-    for name in ("train_x", "test_x"):
-        if not np.isfinite(getattr(ds, name)).all():
-            raise ContractError(f"synthetic dataset: field {name} holds non-finite values "
-                                f"(noise_sigma={spec.noise_sigma!r})")
-    return ds
+        return dataset_from_templates(class_templates(spec), spec, seed)
 
 
 def _read_cifar_records(path: str) -> tuple[np.ndarray, np.ndarray]:

@@ -194,8 +194,9 @@ def _forward_rows(model: Backbone, x: np.ndarray, rows: np.ndarray, rows_of,
     Zero rows still run one empty forward, which gives an empty array of the
     right width.
     """
-    # chunks of 64 keep conv2d's column matrices (up to KW*KH times the size
-    # of their input map) below the peak memory a training step reaches anyway
+    # chunks of 64 keep the backbone's column matrices (up to 9 times the size
+    # of a conv's input map, one conv's at a time in a no-grad forward) below
+    # the peak memory a training step reaches anyway
     out = None
     for lo in range(0, max(rows.size, 1), batch):
         with no_grad():

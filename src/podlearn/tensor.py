@@ -3,13 +3,19 @@
 Every value is a 64-bit float numpy array wrapped in a :class:`Tensor`.
 Primitives record a vector-Jacobian-product closure on their output, so a
 single :meth:`Tensor.backward` call on a scalar seed populates ``grad`` on
-every reachable leaf with ``requires_grad=True``. Values are validated to be
-finite at creation and after every primitive.
+every reachable leaf with ``requires_grad=True``. A primitive with several
+outputs (:func:`_make_multi`) gets one closure over all of their gradients.
+Values are validated to be finite at creation and after every primitive.
+
+The convolution kernel (:func:`conv_windows`, :func:`col2im`) works on
+batch-innermost (C, W, H, B) buffers; :func:`conv2d` wraps it for
+(B, C, W, H) tensors, and the backbone runs it layer to layer.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -131,6 +137,12 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
+def recording(parents: Sequence[Tensor]) -> bool:
+    """Whether a primitive over ``parents`` records its vjp: gradients are
+    enabled and some parent takes one."""
+    return _GRAD_ENABLED and any(p.requires_grad for p in parents)
+
+
 def _make(
     data: np.ndarray,
     op: str,
@@ -141,7 +153,7 @@ def _make(
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    track = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+    track = recording(parents)
     out.requires_grad = track
     if track:
         out._parents = tuple(parents)
@@ -150,6 +162,40 @@ def _make(
         out._parents = ()
         out._vjp = None
     return out
+
+
+class _Slots(dict):
+    """Adjoint of a multi-output node: output position -> that output's gradient.
+
+    ``backward`` sums the adjoints a node receives with ``+``; for slots the
+    sum is the union, each output filing its gradient once.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Slots({**self, **other})
+
+
+def _make_multi(
+    datas: Sequence[np.ndarray],
+    op: str,
+    parents: Sequence[Tensor],
+    vjp: Callable[[tuple[np.ndarray | None, ...]], tuple[np.ndarray | None, ...]],
+) -> tuple[Tensor, ...]:
+    """The outputs of one primitive with several results.
+
+    Every output's one parent is a hidden node holding ``parents`` and
+    ``vjp``. Each output passes its summed gradient on to the node under its
+    position; the sweep reaches the node after all of its outputs, so
+    ``vjp`` runs once, on one gradient per output: None for an output no
+    loss reached.
+    """
+    n = len(datas)
+    node = _make(np.empty(0), op, parents,
+                 lambda slots: vjp(tuple(slots.get(k) for k in range(n))))
+    return tuple(_make(d, op, (node,), lambda g, k=k: (_Slots({k: g}),))
+                 for k, d in enumerate(datas))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -375,22 +421,65 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 # -- spatial primitives --------------------------------------------------------
+#
+# Convolutions work on batch-innermost (C, W, H, B) buffers: every receptive
+# field row of the im2col copy then runs over B contiguous doubles.
 
 
-@functools.lru_cache(maxsize=64)
-def _scatter_map(Cin: int, Wp: int, Hp: int, KW: int, KH: int, s: int,
-                 Wo: int, Ho: int) -> np.ndarray:
-    """Flat index into one padded (Cin, Wp, Hp) sample of each column entry.
+def padded_cwhb(x: np.ndarray, p: int) -> np.ndarray:
+    """A (B, C, W, H) array as a zero-padded (C, W + 2p, H + 2p, B) buffer."""
+    B, C, W, H = x.shape
+    xp = np.zeros((C, W + 2 * p, H + 2 * p, B))
+    xp[:, p : p + W, p : p + H] = x.transpose(1, 2, 3, 0)
+    return xp
 
-    Shape (Cin, KW, KH, 1, Wo, Ho): entry (c, u, v, 0, i, j) is the pixel
-    (c, u + s*i, v + s*j) that kernel offset (u, v) of output (i, j) reads.
-    Keyed by layer geometry only, so one map serves every batch size; the
-    array is read-only because every call with that geometry shares it.
+
+def conv_windows(xp: np.ndarray, KW: int, KH: int, s: int, Wo: int, Ho: int) -> np.ndarray:
+    """Every receptive field of a C-contiguous padded (Cin, Wp, Hp, B)
+    buffer, as a view.
+
+    Shape (Cin, KW, KH, Wo, Ho, B): entry (c, u, v, i, j, b) is the pixel
+    (c, u + s*i, v + s*j, b) that kernel offset (u, v) of output (i, j)
+    reads. Reshaped to (Cin*KW*KH, Wo*Ho*B), it is the im2col matrix whose
+    product with a (Cout, Cin*KW*KH) kernel is the (Cout, Wo, Ho, B) output.
     """
-    c, u, v, i, j = np.ogrid[:Cin, :KW, :KH, :Wo, :Ho]
-    index = ((c * Wp + u + s * i) * Hp + v + s * j)[:, :, :, None]
+    Cin, _, _, B = xp.shape
+    sc, sw, sh, sb = xp.strides
+    return np.ndarray((Cin, KW, KH, Wo, Ho, B), xp.dtype, xp,
+                      strides=(sc, sw, sh, s * sw, s * sh, sb))
+
+
+@functools.lru_cache(maxsize=4)
+def _scatter_index(Cin: int, Wp: int, Hp: int, KW: int, KH: int, s: int,
+                   Wo: int, Ho: int, B: int) -> np.ndarray:
+    """Flat index into a padded (Cin, Wp, Hp, B) buffer of each entry of
+    :func:`conv_windows`, in its row-major order.
+
+    Keyed by layer geometry and batch size. A task's steps see two batch
+    sizes, its full batch and its last partial one, and a backbone of three
+    one-block stages has two convs that take an input gradient: four entries
+    serve a task. The bound keeps a run of many batch sizes from holding one
+    index each. The array is read-only because every call with that key
+    shares it.
+    """
+    c, u, v, i, j, b = np.ogrid[:Cin, :KW, :KH, :Wo, :Ho, :B]
+    index = (((c * Wp + u + s * i) * Hp + v + s * j) * B + b).ravel()
     index.setflags(write=False)
     return index
+
+
+def col2im(gcols: np.ndarray, xp_shape: tuple[int, int, int, int],
+           KW: int, KH: int, s: int, Wo: int, Ho: int) -> np.ndarray:
+    """Adjoint of :func:`conv_windows`: (Cin, KW, KH, Wo, Ho, B) column
+    gradients summed onto their padded (Cin, Wp, Hp, B) pixels.
+
+    One ``np.bincount`` through a cached index adds each pixel's
+    contributions in column order, kernel offset (u, v) by offset from zero,
+    as a loop of strided adds per offset would.
+    """
+    index = _scatter_index(*xp_shape[:3], KW, KH, s, Wo, Ho, xp_shape[3])
+    return np.bincount(index, weights=gcols.ravel(),
+                       minlength=math.prod(xp_shape)).reshape(xp_shape)
 
 
 def conv2d(
@@ -402,15 +491,12 @@ def conv2d(
 ) -> Tensor:
     """2-D convolution over (B, C, W, H) inputs with zero padding.
 
-    Unrolled (im2col) form: every receptive field becomes one column of a
-    (Cin*KW*KH, B*Wo*Ho) matrix, copied out of one strided view of the padded
-    input, so the forward pass and the weight gradient are one GEMM each. The
-    input gradient is one GEMM back to columns, scattered onto the padded
-    input by one ``np.bincount`` through :func:`_scatter_map`. bincount adds
-    each pixel's contributions in column order, kernel offset (u, v) by
-    offset from zero, as a loop of strided adds per offset would. The input
-    gradient is skipped when ``x`` takes no gradient (a network's input
-    batch).
+    A layout wrapper over :func:`conv_windows` and :func:`col2im`, the
+    kernel the backbone runs: the input is padded batch-innermost, and the
+    columns are taken in (b, i, j) order, so the forward pass and the weight
+    gradient are one GEMM each over the batch-major output. The input
+    gradient is one GEMM back to columns and one scatter. It is skipped when
+    ``x`` takes no gradient (a network's input batch).
     """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError("conv2d", f"expected 4-D input/kernel, got {x.shape}, {w.shape}")
@@ -428,13 +514,10 @@ def conv2d(
     if Wo < 1 or Ho < 1:
         raise ShapeError("conv2d", f"kernel {KW}x{KH} too large for {W}x{H} (pad {p})")
 
-    Wp, Hp = W + 2 * p, H + 2 * p
-    xp = np.zeros((B, Cin, Wp, Hp))
-    xp[:, :, p : p + W, p : p + H] = x.data
-    sb, sc, sw, sh = xp.strides
+    xp = padded_cwhb(x.data, p)
+    xp_shape = xp.shape
     # rows (c, u, v) in the order of w's trailing axes, columns (b, i, j)
-    windows = np.ndarray((Cin, KW, KH, B, Wo, Ho), xp.dtype, xp,
-                         strides=(sc, sw, sh, sb, s * sw, s * sh))
+    windows = conv_windows(xp, KW, KH, s, Wo, Ho).transpose(0, 1, 2, 5, 3, 4)
     cols = windows.reshape(Cin * KW * KH, -1)
     wmat = w.data.reshape(Cout, -1)
     y = (wmat @ cols).reshape(Cout, B, Wo, Ho)
@@ -449,12 +532,9 @@ def conv2d(
         gw = (g2 @ cols.T).reshape(w.shape)
         gx = None
         if x.requires_grad:
-            sample = Cin * Wp * Hp
-            target = (_scatter_map(Cin, Wp, Hp, KW, KH, s, Wo, Ho)
-                      + np.arange(0, B * sample, sample)[:, None, None])
-            gxp = np.bincount(target.ravel(), weights=(wmat.T @ g2).ravel(),
-                              minlength=B * sample).reshape(B, Cin, Wp, Hp)
-            gx = gxp[:, :, p : p + W, p : p + H]
+            gcols = (wmat.T @ g2).reshape(-1, B, Wo, Ho).transpose(0, 2, 3, 1)
+            gxp = col2im(gcols, xp_shape, KW, KH, s, Wo, Ho)
+            gx = gxp[:, p : p + W, p : p + H].transpose(3, 0, 1, 2)
         if bias is None:
             return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))

@@ -5,7 +5,9 @@ on purpose: these functions restate the definitions directly and share no
 code with the package. The exceptions are numpy references kept for bitwise
 comparison: :func:`conv2d_loop`, an im2col/col2im convolution, and the
 dataset builders :func:`dataset_from_templates_oracle` and
-:func:`ingest_cifar_oracle`, which make every split by copying.
+:func:`ingest_cifar_oracle`, which make every split by copying; and
+:func:`backbone_by_ops`, the backbone's forward as a chain of single engine
+ops, against which the fused backbone node is checked.
 """
 
 import itertools
@@ -70,6 +72,26 @@ def conv2d_loop(x, w, b, g, stride, padding):
             gxp[:, :, u : u + s * Wo : s, v : v + s * Ho : s] += gcols[:, u, v]
     gx = gxp[:, :, p : p + W, p : p + H].transpose(1, 0, 2, 3)
     return out, gx, gw, g.sum(axis=(0, 2, 3))
+
+
+def backbone_by_ops(model, batch):
+    """``(stage maps, embedding)`` of ``model`` on the Tensor ``batch``, one
+    engine op per step: conv2d per block, relu before every conv but the
+    first and before the head, a mean pool, a matmul and a bias add."""
+    from podlearn.tensor import add, conv2d, matmul, relu, tmean
+
+    h, maps = batch, []
+    blocks = model.config.blocks_per_stage
+    for i in range(len(model.config.stage_filters)):
+        for j in range(blocks):
+            if i > 0 or j > 0:
+                h = relu(h)
+            h = conv2d(h, model.params[f"stage{i}.block{j}.weight"],
+                       model.params[f"stage{i}.block{j}.bias"],
+                       stride=2 if (i > 0 and j == 0) else 1, padding=1)
+        maps.append(h)
+    pooled = tmean(relu(h), axis=(2, 3))
+    return maps, add(matmul(pooled, model.params["head.weight"]), model.params["head.bias"])
 
 
 def _normalized(v, eps=1e-8):

@@ -12,7 +12,9 @@ from podlearn.gradcheck import gradient_check
 from podlearn.lsc import ProxyBank, lsc_scores, nca_hinge_loss
 from podlearn.pod import PodConfig, pod_final, pod_targets
 from podlearn.protocol import IncrementalRunner
-from podlearn.tensor import Tensor
+from podlearn.tensor import Tensor, _scatter_index, add, mul, tsum
+
+from oracles import backbone_by_ops
 
 
 def _default():
@@ -118,6 +120,104 @@ def test_backward_leaves_grads_on_leaves_only():
         assert p.grad is not None and p.grad.shape == p.shape
 
 
+def _weighted_outputs(maps, embedding, weights):
+    """sum_k <weights[k], output k>, over the outputs whose weight is not None."""
+    terms = [tsum(mul(t, Tensor(wt))) for t, wt in zip([*maps, embedding], weights)
+             if wt is not None]
+    total = terms[0]
+    for term in terms[1:]:
+        total = add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("with_pod", [True, False], ids=["pod", "no_pod"])
+def test_fused_backbone_gradients_of_every_parameter(with_pod):
+    # two blocks per stage (a stride-1 conv takes an input gradient) on
+    # non-square maps; POD's gradients reach every stage map, or none does
+    cfg = BackboneConfig(input_shape=(3, 8, 6), stage_filters=(3, 4),
+                         blocks_per_stage=2, embedding_dim=5)
+    student = Backbone(cfg, seed=3)
+    rng = np.random.default_rng(32)
+    x = Tensor(rng.normal(size=(2, *cfg.input_shape)))
+    targets = pod_targets(Backbone(cfg, seed=4).forward_with_stages(x), PodConfig().mode)
+    emb_weights = rng.normal(size=(2, 5))
+
+    def loss_at(batch):
+        outs = student.forward_with_stages(batch)
+        total = tsum(mul(outs.embedding, Tensor(emb_weights)))
+        if with_pod:
+            total = add(total, pod_final(targets, outs, PodConfig(), 1.5))
+        return total
+
+    def loss_of(name):
+        def loss(param):
+            student.params[name] = param
+            return loss_at(x)
+        return loss
+
+    for name in list(student.params):
+        point = Tensor(student.params[name].data.copy())
+        assert gradient_check(loss_of(name), point, eps=1e-5) <= 1e-6, name
+        student.params[name] = Tensor(point.data, requires_grad=True)
+    assert gradient_check(loss_at, x, eps=1e-5) <= 1e-6  # and the input batch
+
+
+@pytest.mark.parametrize("cfg, batch, bitwise", [
+    (BackboneConfig(), 32, True),
+    (BackboneConfig(), 1, True),
+    (BackboneConfig(input_shape=(3, 8, 6), stage_filters=(3, 4), blocks_per_stage=2,
+                    embedding_dim=5), 8, True),
+    (BackboneConfig(input_shape=(2, 5, 7), stage_filters=(4, 6, 8), embedding_dim=3), 33, False),
+], ids=["a5", "single", "two_blocks", "odd"])
+def test_fused_backbone_equals_the_op_chain(cfg, batch, bitwise):
+    # Each conv's GEMM has the same operands in both, its columns permuted:
+    # (i, j, b) in the fused node, (b, i, j) in conv2d. The forward is
+    # bitwise equal when no column moves into or out of the few last columns
+    # that BLAS may finish with a tail kernel: a batch of 1, or one whose
+    # size is a multiple of 8. The gradients agree to rounding, because the
+    # fused weight and bias gradients also sum over (i, j, b).
+    rng = np.random.default_rng(batch)
+    x_val = rng.normal(size=(batch, *cfg.input_shape))
+    fused, chain = Backbone(cfg, seed=5), Backbone(cfg, seed=5)
+    x_fused, x_chain = Tensor(x_val, requires_grad=True), Tensor(x_val, requires_grad=True)
+    outs = fused.forward_with_stages(x_fused)
+    maps, embedding = backbone_by_ops(chain, x_chain)
+    for got, want in zip([*outs.stage_maps, outs.embedding], [*maps, embedding]):
+        assert got.shape == want.shape
+        if bitwise:
+            assert got.data.tobytes() == want.data.tobytes()
+        assert np.abs(got.data - want.data).max() <= 1e-14 * np.abs(want.data).max()
+    # gradients on every output but the first stage map, as with lambda_c
+    # applied to later stages only
+    weights = [None] + [rng.normal(size=t.shape) for t in [*maps[1:], embedding]]
+    _weighted_outputs(outs.stage_maps, outs.embedding, weights).backward()
+    _weighted_outputs(maps, embedding, weights).backward()
+    pairs = [(x_fused.grad, x_chain.grad)]
+    pairs += [(fused.params[n].grad, chain.params[n].grad) for n in fused.params]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_scatter_index_cache_stays_bounded_over_70_batch_sizes():
+    _scatter_index.cache_clear()
+    cfg = BackboneConfig(input_shape=(2, 6, 6), stage_filters=(3, 4), embedding_dim=3)
+    model = Backbone(cfg, seed=6)
+    rng = np.random.default_rng(4)
+    bound = _scatter_index.cache_info().maxsize
+    for batch in range(1, 71):
+        outs = model.forward_with_stages(Tensor(rng.normal(size=(batch, *cfg.input_shape))))
+        tsum(outs.embedding).backward()
+        assert _scatter_index.cache_info().currsize <= bound
+    assert bound <= 4
+    # one stride-2 conv takes an input gradient: one miss per batch size
+    assert _scatter_index.cache_info().misses == 70
+    index = _scatter_index(3, 8, 8, 3, 3, 2, 3, 3, 70)
+    assert _scatter_index.cache_info().hits == 1
+    with pytest.raises(ValueError):
+        index[0] = 0
+
+
 def test_last_stage_map_attains_negative_values():
     rng = np.random.default_rng(1)
     model = _default()
@@ -167,6 +267,18 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path.write_text(json.dumps(blob))
     with pytest.raises(FormatError, match="version 99"):
         load_run_checkpoint(str(path))
+
+
+def test_checkpoint_bytes_equal_the_streaming_encoder(first_task_state, tmp_path):
+    # the one-shot C encoder writes the bytes the pure-Python iterencode did
+    _, _, _, runner, _ = first_task_state()
+    echo = {"seed": 0, "dataset": "synthetic", "lr": 0.1}
+    state = runner.to_state()
+    path = tmp_path / "checkpoint.json"
+    save_run_checkpoint(str(path), echo, state)
+    streamed = "".join(json.JSONEncoder().iterencode(
+        {"version": 1, "config": echo, "runner": state}))
+    assert path.read_bytes() == streamed.encode()
 
 
 def test_failed_atomic_write_leaves_no_temporary_file(tmp_path):

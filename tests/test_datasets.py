@@ -101,10 +101,11 @@ def test_generation_equals_the_copying_oracle(spec, seed):
 
 
 def test_peak_memory_of_synthetic_generation():
-    # the noise is drawn into the splits themselves: no second copy
+    # the noise is drawn into the splits themselves, and the finiteness check
+    # looks at one class's rows at a time: no split-sized temporary
     ds, peak = _traced_peak(lambda: generate_synthetic_dataset(
         SyntheticSpec(samples_per_class=1000)))
-    assert peak <= 1.25 * _split_bytes(ds), f"peak {peak / _split_bytes(ds):.2f}x the arrays"
+    assert peak <= 1.1 * _split_bytes(ds), f"peak {peak / _split_bytes(ds):.2f}x the arrays"
 
 
 def test_templates_shape_guard():

@@ -25,7 +25,6 @@ from podlearn.tensor import (
     transpose,
     tsum,
 )
-from podlearn.tensor import _scatter_map
 
 from oracles import conv2d_loop
 
@@ -107,22 +106,6 @@ def test_conv2d_bitwise_equals_the_col2im_loop(batch, stride, padding, x_dims, w
     want = conv2d_loop(x_val, w_val, b_val, g, stride, padding)
     for got, ref in zip((out.data, x.grad, w.grad, b.grad), want):
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-
-
-def test_conv2d_scatter_map_cached_per_geometry_and_read_only():
-    _scatter_map.cache_clear()
-    rng = np.random.default_rng(4)
-    w = Tensor(rng.normal(size=(4, 2, 3, 3)))
-    for batch in range(1, 71):
-        x = Tensor(rng.normal(size=(batch, 2, 6, 6)), requires_grad=True)
-        tsum(conv2d(x, w, stride=2, padding=1)).backward()
-        assert x.grad.shape == x.shape
-    info = _scatter_map.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (1, 1, 69)
-    index = _scatter_map(2, 8, 8, 3, 3, 2, 3, 3)
-    assert _scatter_map.cache_info().currsize == 1
-    with pytest.raises(ValueError):
-        index[0, 0, 0, 0, 0, 0] = 0
 
 
 def test_softmax_rows_sum_to_one():
