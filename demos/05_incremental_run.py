@@ -39,7 +39,7 @@ for name, cfg in configs.items():
 print()
 print(f"{'task':>5} {'seen':>5} {'distilled nme':>14} {'baseline nme':>14}")
 for t in range(schedule.num_tasks):
-    print(f"{t:>5} {results['distilled'].seen_classes[t]:>5} "
+    print(f"{t:>5} {schedule.positions(t).stop:>5} "
           f"{results['distilled'].nme_accuracy[t]:>14.3f} "
           f"{results['baseline'].nme_accuracy[t]:>14.3f}")
 

@@ -25,16 +25,17 @@ from .checkpoint import atomic_file, load_run_checkpoint, save_run_checkpoint, w
 from .config import ExperimentConfig, parse_synthetic_spec
 from .datasets import generate_synthetic_dataset, save_dataset
 from .errors import ConfigError, ContractError, FormatError, PodlearnError
-from .protocol import IncrementalRunner, RunMetrics
+from .protocol import IncrementalRunner
 
 METRICS_HEADER = "task_index,seen_classes,nme_accuracy,cnn_accuracy"
 
 
-def _write_metrics(path: str, m: RunMetrics) -> None:
+def _write_metrics(path: str, runner: IncrementalRunner) -> None:
     """Rewrite ``metrics.csv`` atomically: the header, then one row per finished task."""
+    m, positions = runner.metrics, runner.schedule.positions
     lines = [METRICS_HEADER + "\n"]
-    for i, (seen, nme, cnn) in enumerate(zip(m.seen_classes, m.nme_accuracy, m.cnn_accuracy)):
-        lines.append(f"{i},{seen},{nme!r},{cnn!r}\n")
+    for i, (nme, cnn) in enumerate(zip(m.nme_accuracy, m.cnn_accuracy)):
+        lines.append(f"{i},{positions(i).stop},{nme!r},{cnn!r}\n")
     write_text_atomic(path, lines)
 
 
@@ -55,7 +56,7 @@ def _write_outputs(out_dir: str, cfg: ExperimentConfig, runner: IncrementalRunne
     lines = ["mode,task_index,seen_classes,accuracy\n"]
     for mode, series in (("nme", m.nme_accuracy), ("cnn", m.cnn_accuracy)):
         for i, acc in enumerate(series):
-            lines.append(f"{mode},{i},{m.seen_classes[i]},{acc!r}\n")
+            lines.append(f"{mode},{i},{runner.schedule.positions(i).stop},{acc!r}\n")
     write_text_atomic(os.path.join(out_dir, "plot_data.csv"), lines)
 
 
@@ -79,11 +80,11 @@ def cmd_run(args) -> None:
         raise ConfigError(str(err))
 
     os.makedirs(out_dir, exist_ok=True)
-    _write_metrics(metrics_path, runner.metrics)
+    _write_metrics(metrics_path, runner)
     first, start = runner.task_cursor, time.monotonic()
     while not runner.done:
         row = runner.run_next_task()
-        _write_metrics(metrics_path, runner.metrics)
+        _write_metrics(metrics_path, runner)
         save_run_checkpoint(ckpt_path, cfg.to_dict(), runner.to_state())
         print(
             f"task {row['task_index']}: seen={row['seen_classes']} "

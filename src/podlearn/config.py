@@ -168,14 +168,9 @@ class ExperimentConfig:
                 )
             self.schedule()
             self.budget()
-            self.run_config(self.input_shape())
+            self.run_config((self.channels, self.width, self.height))
         except ContractError as err:
             raise ConfigError(str(err))
-
-    def input_shape(self) -> tuple[int, int, int]:
-        if self.dataset.startswith("cifar:"):
-            return (3, 32, 32)
-        return (self.channels, self.width, self.height)
 
     def _same_named(self, cls) -> dict:
         """This config's values for the fields of ``cls`` it holds under the same name."""

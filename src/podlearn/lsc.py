@@ -28,20 +28,16 @@ class ProxyBank:
     ``theta`` is one (C, K, D) tensor. ``add_class`` replaces it with a grown
     copy, so optimizers must be built after imprinting (the runner builds
     them per task) to see the current tensor. ``eta`` is a learned positive
-    scalar; ``delta`` is the fixed score margin used by the NCA loss.
+    scalar, kept at or above its init ``eta_floor``.
     """
 
-    def __init__(self, dim: int, proxies_per_class: int, delta: float = 0.6,
-                 eta_init: float = 1.0):
+    def __init__(self, dim: int, proxies_per_class: int, eta_init: float = 1.0):
         if dim < 1 or proxies_per_class < 1:
             raise ContractError(f"ProxyBank: bad dim={dim} or K={proxies_per_class}")
-        if delta < 0:
-            raise ContractError(f"ProxyBank: margin must be >= 0, got {delta}")
         if eta_init <= 0:
             raise ContractError(f"ProxyBank: eta must be > 0, got {eta_init}")
         self.dim = int(dim)
         self.K = int(proxies_per_class)
-        self.delta = float(delta)
         self.eta = Tensor(np.asarray(float(eta_init)), requires_grad=True)
         # floor at the init value: early on, the margin term pushes eta toward
         # zero (all score gradients scale with eta, so that kills training);

@@ -92,7 +92,6 @@ def adaptive_scale(seen_classes: int, new_classes: int) -> float:
 class RunMetrics:
     nme_accuracy: list[float] = field(default_factory=list)
     cnn_accuracy: list[float] = field(default_factory=list)
-    seen_classes: list[int] = field(default_factory=list)
 
     @property
     def avg_nme(self) -> float:
@@ -282,12 +281,8 @@ class IncrementalRunner:
         self.dataset = dataset
         model_seed, run_seed = np.random.SeedSequence(seed).spawn(2)
         self.backbone = Backbone(config.backbone, seed=model_seed)
-        self.bank = ProxyBank(
-            config.backbone.embedding_dim,
-            config.proxies_per_class,
-            config.margin,
-            config.eta_init,
-        )
+        self.bank = ProxyBank(config.backbone.embedding_dim, config.proxies_per_class,
+                              config.eta_init)
         self.memory = ExemplarMemory(config.budget)
         self.rng = np.random.default_rng(run_seed)
         self.metrics = RunMetrics()
@@ -341,7 +336,6 @@ class IncrementalRunner:
 
         self.metrics.nme_accuracy.append(nme)
         self.metrics.cnn_accuracy.append(cnn)
-        self.metrics.seen_classes.append(seen)
         return {
             "task_index": t,
             "seen_classes": seen,
@@ -359,7 +353,7 @@ class IncrementalRunner:
     def _classifier_loss(self, yhat: Tensor, labels: np.ndarray) -> Tensor:
         if self.config.classifier_loss == "ce":
             return cross_entropy_loss(yhat, labels, self.bank.eta)
-        return nca_hinge_loss(yhat, labels, self.bank.eta, self.bank.delta)
+        return nca_hinge_loss(yhat, labels, self.bank.eta, self.config.margin)
 
     def _sgd_epochs(self, params: list[Tensor], base_lr: float, epochs: int, n: int,
                     batch_loss) -> None:
@@ -395,15 +389,24 @@ class IncrementalRunner:
                                     lambda outs: pod_targets(outs, cfg.pod.mode))
 
         def batch_loss(sel):
-            x = Tensor(self.dataset.train_x[indices[sel]])
-            outs = self.backbone.forward_with_stages(x)
-            loss = self._classifier_loss(lsc_scores(outs.embedding, self.bank), labels[sel])
-            if targets is None:
-                return loss
-            return loss + pod_final(targets[sel], outs, cfg.pod, lam)
+            return self._step_loss(indices[sel], labels[sel],
+                                   None if targets is None else targets[sel], lam)
 
         self._sgd_epochs(self.backbone.parameters() + self.bank.parameters(),
                          cfg.learning_rate, cfg.epochs_per_task, indices.size, batch_loss)
+
+    def _step_loss(self, rows: np.ndarray, labels: np.ndarray, targets, lam: float) -> Tensor:
+        """The loss one training step differentiates, for the train rows ``rows``.
+
+        Classification of the rows' embeddings against their ``labels``, plus
+        POD distillation at weight ``lam`` towards the teacher's ``targets``
+        for the same rows; ``targets`` is None when there is no teacher.
+        """
+        outs = self.backbone.forward_with_stages(Tensor(self.dataset.train_x[rows]))
+        loss = self._classifier_loss(lsc_scores(outs.embedding, self.bank), labels)
+        if targets is None:
+            return loss
+        return loss + pod_final(targets, outs, self.config.pod, lam)
 
     def _balanced_finetune(self) -> None:
         """Optional post-task pass over the (balanced) memory, classifier only."""
@@ -460,10 +463,9 @@ class IncrementalRunner:
         for acc, where in ((nme, nme_at), (cnn, cnn_at)):
             if ((acc < 0) | (acc > 1)).any():
                 raise FormatError(f"checkpoint field {where} holds an accuracy outside [0, 1]")
-        seen = [schedule.positions(t).stop for t in range(cursor)]  # after each scored task
-        n_classes = seen[-1] if seen else 0
+        n_classes = schedule.positions(cursor - 1).stop if cursor else 0  # seen so far
         runner = cls(schedule, config, dataset, seed=0)
-        runner.metrics = RunMetrics(nme.tolist(), cnn.tolist(), seen)
+        runner.metrics = RunMetrics(nme.tolist(), cnn.tolist())
 
         # the fresh runner's parameters carry the expected names and shapes
         params, where = read_field(state, ("backbone", "params"))

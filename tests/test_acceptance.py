@@ -23,7 +23,7 @@ from podlearn.protocol import (
     average_incremental_accuracy,
     run_schedule,
 )
-from podlearn.tensor import Tensor, reshape, tsum
+from podlearn.tensor import Tensor, tsum
 
 from oracles import (
     herd_order_oracle,
@@ -33,6 +33,8 @@ from oracles import (
     pod_flat_oracle,
     pod_pooled_oracle,
 )
+
+pytestmark = pytest.mark.slow
 
 SEEDS = (0, 1, 2)
 

@@ -110,7 +110,7 @@ def test_backward_leaves_grads_on_leaves_only():
         bank.add_class(rng.normal(size=(2, cfg.embedding_dim)))
     outs = student.forward_with_stages(x)
     scores = lsc_scores(outs.embedding, bank)
-    cls = nca_hinge_loss(scores, np.array([0, 2, 1, 0]), bank.eta, bank.delta)
+    cls = nca_hinge_loss(scores, np.array([0, 2, 1, 0]), bank.eta, 0.6)
     pod = pod_final(targets, outs, PodConfig(), 1.5)
     loss = cls + pod
     loss.backward()

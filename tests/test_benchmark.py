@@ -4,6 +4,7 @@ These run real (small) trainings and take tens of seconds each.
 """
 
 import numpy as np
+import pytest
 
 from podlearn.config import ExperimentConfig
 from podlearn.datasets import (
@@ -13,6 +14,8 @@ from podlearn.datasets import (
     generate_synthetic_dataset,
 )
 from podlearn.protocol import TaskSchedule, run_schedule
+
+pytestmark = pytest.mark.slow
 
 
 def test_default_benchmark_single_task_reaches_95_percent():

@@ -24,9 +24,9 @@ from oracles import (
 )
 
 
-def _bank(theta, delta=0.6, eta=1.0):
+def _bank(theta):
     theta = [np.asarray(t, dtype=np.float64) for t in theta]
-    bank = ProxyBank(theta[0].shape[1], theta[0].shape[0], delta, eta)
+    bank = ProxyBank(theta[0].shape[1], theta[0].shape[0])
     for t in theta:
         bank.add_class(t)
     return bank
@@ -376,7 +376,7 @@ def test_imprint_empty_class_rejected():
 
 
 def test_bank_state_roundtrip(first_task_state):
-    ds, sched, cfg, runner, state = first_task_state(margin=0.4, eta_init=1.5)
+    ds, sched, cfg, runner, state = first_task_state(eta_init=1.5)
     # the stacked tensor writes the per-class layout: C lists of K x D lists
     assert state["bank"]["theta"] == [t.tolist() for t in runner.bank.theta.data]
     bank = IncrementalRunner.from_state(sched, cfg, ds, state).bank
@@ -384,8 +384,7 @@ def test_bank_state_roundtrip(first_task_state):
     assert bank.theta.shape == (2, 2, 8) and bank.theta.requires_grad
     assert bank.theta.data.tobytes() == runner.bank.theta.data.tobytes()
     assert float(bank.eta.data) == 3.25
-    # the margin and the eta floor come from the config
-    assert bank.delta == 0.4
+    # the eta floor comes from the config
     assert bank.eta_floor == 1.5
 
 
@@ -429,8 +428,8 @@ def test_bank_grows_one_stacked_parameter():
 def test_bank_validates_construction():
     with pytest.raises(ContractError):
         ProxyBank(0, 1)
-    with pytest.raises(ContractError):
-        ProxyBank(4, 2, delta=-0.1)
+    with pytest.raises(ContractError, match="margin must be >= 0, got -0.1"):
+        nca_hinge_loss(Tensor([[0.5, 0.1]]), [0], eta=1.0, delta=-0.1)
     with pytest.raises(ContractError):
         ProxyBank(4, 2, eta_init=0.0)
     bank = ProxyBank(4, 2)

@@ -10,11 +10,13 @@ import pytest
 from podlearn.backbone import Backbone, BackboneConfig
 from podlearn.datasets import SyntheticSpec, generate_synthetic_dataset
 from podlearn.errors import ContractError, FormatError
-from podlearn.lsc import ProxyBank
+from podlearn.gradcheck import gradient_check
+from podlearn.lsc import ProxyBank, lsc_scores, nca_hinge_loss
 from podlearn.memory import ExemplarMemory, PerClass, Total, herd_select
 from podlearn.pod import PodConfig, pod_final, pod_targets
 from podlearn.protocol import (
     SGD,
+    WEIGHT_DECAY,
     IncrementalRunner,
     RunConfig,
     TaskSchedule,
@@ -279,8 +281,12 @@ def test_first_task_has_no_distillation_term():
 def test_metrics_monotone_class_coverage():
     ds = _tiny_dataset()
     sched = TaskSchedule.build(4, 2, 1, seed=1)
-    metrics = run_schedule(sched, _tiny_config(), ds, seed=1)
-    assert metrics.seen_classes == [2, 3, 4]
+    runner = IncrementalRunner(sched, _tiny_config(), ds, seed=1)
+    rows = [runner.run_next_task() for _ in range(sched.num_tasks)]
+    seen = [sched.positions(t).stop for t in range(sched.num_tasks)]
+    assert seen == [2, 3, 4]
+    assert [row["seen_classes"] for row in rows] == seen
+    assert len(runner.metrics.nme_accuracy) == len(runner.metrics.cnn_accuracy) == 3
 
 
 def test_runner_checkpoint_resume_matches_prefix():
@@ -381,13 +387,21 @@ def test_fresh_runner_state_round_trips(first_task_state):
 
 
 def test_from_state_takes_margin_and_budget_from_the_config(first_task_state):
-    ds, sched, cfg, _, state = first_task_state(margin=0.6, budget=PerClass(3))
+    ds, sched, cfg, runner, state = first_task_state(margin=0.6, budget=PerClass(3))
     # stale copies of the saving run's values, as older checkpoints hold them
     state["bank"]["delta"] = 0.6
     state["memory"]["budget"] = {"kind": "per_class", "m": 3}
     other = dataclasses.replace(cfg, margin=0.1, budget=Total(4))
     revived = IncrementalRunner.from_state(sched, other, ds, state)
-    assert revived.bank.delta == 0.1
+    # one batch of the first task's rows, scored by the revived classifier
+    rows = np.flatnonzero(revived.train_y < 2)[::4]
+    with no_grad():
+        emb = revived.backbone.forward_with_stages(Tensor(ds.train_x[rows])).embedding
+        scores = lsc_scores(emb, revived.bank)
+        got = revived._classifier_loss(scores, revived.train_y[rows]).item()
+        want = nca_hinge_loss(scores, revived.train_y[rows], revived.bank.eta, 0.1).item()
+        saved = nca_hinge_loss(scores, revived.train_y[rows], revived.bank.eta, 0.6).item()
+    assert got == want and got != saved
     assert revived.memory.budget == Total(4)
     # cut to Total(4)'s allocation over the 2 classes seen, as a run would be
     stored = state["memory"]["per_class"]
@@ -681,7 +695,9 @@ def test_labels_are_schedule_positions(monkeypatch):
     monkeypatch.setattr(protocol, "evaluate", spy)
     while not runner.done:
         runner.run_next_task()
-    for seen, test_y in zip(runner.metrics.seen_classes, test_sets):
+    assert len(test_sets) == sched.num_tasks
+    for t, test_y in enumerate(test_sets):
+        seen = sched.positions(t).stop
         want = [position[c] for c in ds.test_y.tolist() if position.get(c, 4) < seen]
         assert test_y.tolist() == want
 
@@ -773,6 +789,124 @@ def test_sgd_momentum_and_weight_decay_hand_steps():
     # a parameter without a gradient is not decayed either
     assert idle.grad is None
     assert idle.data.tolist() == [3.0]
+
+
+# -- the training step ------------------------------------------------------------
+
+
+def _step_inputs(classifier_loss, task):
+    """A trained runner and the rows, labels, targets and lambda of one step of ``task``.
+
+    At task 1 the targets are those of the backbone before the task, which
+    training has since moved away from them. The rows are six of the seen
+    classes whose pre-hinge NCA value lies at least 0.02 from the kink.
+    """
+    ds = _tiny_dataset()
+    sched = TaskSchedule.build(4, 2, 1, seed=9)
+    runner = IncrementalRunner(sched, _tiny_config(classifier_loss=classifier_loss), ds, seed=9)
+    for _ in range(task + 1):
+        teacher = copy.deepcopy(runner.backbone)
+        runner.run_next_task()
+    new = sched.positions(task)
+    lam = adaptive_scale(new.stop, len(new))
+
+    candidates = np.random.default_rng(9).permutation(np.flatnonzero(runner.train_y < new.stop))
+    labels = runner.train_y[candidates]
+    eta, delta = float(runner.bank.eta.data), runner.config.margin
+    with no_grad():
+        emb = runner.backbone.forward_with_stages(Tensor(ds.train_x[candidates])).embedding
+        scaled = eta * lsc_scores(emb, runner.bank).data
+    target = scaled[np.arange(labels.size), labels]
+    others = np.log(np.exp(scaled).sum(axis=1) - np.exp(target))
+    pre = others - target + eta * delta
+    keep = np.flatnonzero(np.abs(pre) >= 0.02)[:6]
+    assert keep.size == 6 and (pre[keep] > 0).any()  # some NCA gradient flows
+    rows = candidates[keep]
+    targets = None
+    if task:
+        targets = _forward_rows(teacher, ds.train_x, rows,
+                                lambda outs: pod_targets(outs, runner.config.pod.mode))
+    return runner, rows, runner.train_y[rows], targets, lam
+
+
+@pytest.mark.parametrize("task", [0, 1])
+@pytest.mark.parametrize("classifier_loss", ["nca", "ce"])
+def test_step_loss_gradients_of_every_parameter(classifier_loss, task):
+    # the loss _train_task differentiates, checked against central differences
+    # in every backbone parameter, theta and eta: with the teacher's POD
+    # targets and lambda at task 1, classification alone at task 0
+    runner, rows, labels, targets, lam = _step_inputs(classifier_loss, task)
+    bank = runner.bank
+    slots = [(runner.backbone.params, name) for name in runner.backbone.params]
+    slots += [(vars(bank), "theta"), (vars(bank), "eta")]
+    for holder, name in slots:
+        point = Tensor(holder[name].data.copy())
+
+        def loss(value, holder=holder, name=name):
+            holder[name] = value
+            return runner._step_loss(rows, labels, targets, lam)
+
+        assert gradient_check(loss, point, eps=1e-5) <= 1e-6, name
+        holder[name] = Tensor(point.data, requires_grad=True)
+    if targets is not None:  # the student has moved off its teacher: POD adds to the loss
+        alone = runner._step_loss(rows, labels, None, lam).item()
+        assert alone < runner._step_loss(rows, labels, targets, lam).item()
+
+
+def test_sgd_step_and_eta_floor_match_numpy(first_task_state):
+    # the optimizer of a task, stepped on the gradients of _step_loss:
+    # v <- mu v + g + 5e-4 p on the backbone weights and theta, eta moved by
+    # its gradient alone and then floored at eta_init
+    ds, sched, cfg, runner, _ = first_task_state(eta_init=1.5)
+    params = runner.backbone.parameters() + runner.bank.parameters()
+    assert params[-1] is runner.bank.eta and WEIGHT_DECAY == 5e-4
+    lr, mu = 0.05, cfg.momentum
+    opt = SGD(params, lr, mu, WEIGHT_DECAY, (runner.bank.eta,))
+    rows = np.flatnonzero(runner.train_y < 2)[::3]
+    want = [p.data.copy() for p in params]
+    velocity = [np.zeros_like(w) for w in want]
+    for eta_grad in (None, 1e3):  # the second step drives eta below its floor
+        opt.zero_grad()
+        runner._step_loss(rows, runner.train_y[rows], None, 1.0).backward()
+        if eta_grad is not None:
+            runner.bank.eta.grad = np.asarray(eta_grad)
+        grads = [p.grad.copy() for p in params]
+        opt.step()
+        runner.bank.clamp_eta()
+        for i, g in enumerate(grads):
+            decay = 0.0 if i == len(params) - 1 else 5e-4
+            velocity[i] = mu * velocity[i] + g + decay * want[i]
+            want[i] = want[i] - lr * velocity[i]
+        want[-1] = np.maximum(want[-1], 1.5)
+        for p, w in zip(params, want):
+            npt.assert_array_equal(p.data, w)
+    assert float(runner.bank.eta.data) == 1.5
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    dict(classifier_loss="ce", budget=Total(7), balanced_finetune=True, finetune_epochs=2),
+], ids=["nca_per_class", "ce_total_finetune"])
+def test_renamed_classes_give_a_byte_identical_run(kw):
+    # rename every class by pi, and the schedule's order with it: each label is
+    # the same schedule position, so the state and both accuracy lists after
+    # every task are byte-identical
+    ds = _tiny_dataset(classes=5)
+    sched = TaskSchedule.build(5, 2, 1, seed=3)
+    pi = np.array([3, 0, 4, 1, 2])
+    renamed = dataclasses.replace(ds, train_y=pi[ds.train_y], test_y=pi[ds.test_y])
+    renamed_sched = TaskSchedule(tuple(int(pi[c]) for c in sched.class_order), 2, 1)
+    assert renamed_sched.class_order != sched.class_order
+    cfg = _tiny_config(**kw)
+    plain = IncrementalRunner(sched, cfg, ds, seed=3)
+    moved = IncrementalRunner(renamed_sched, cfg, renamed, seed=3)
+    while not plain.done:
+        assert plain.run_next_task() == moved.run_next_task()
+        assert json.dumps(plain.to_state()) == json.dumps(moved.to_state())
+        for series in ("nme_accuracy", "cnn_accuracy"):
+            a, b = (json.dumps(getattr(r.metrics, series)) for r in (plain, moved))
+            assert a == b
+    assert moved.done
 
 
 def test_failure_carries_task_index(monkeypatch):
