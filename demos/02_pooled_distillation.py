@@ -1,12 +1,31 @@
-"""The pooled distillation loss family and its invariance ladder.
+"""The pooled distillation loss and the invariance ladder of its pooling modes.
 
-Each pooling mode ignores a different kind of activation reorganization:
+``pod_final`` is the one POD loss; its pooling mode is a ``PodConfig``
+setting. Each mode ignores a different kind of activation reorganization:
 the more it ignores, the more freedom (plasticity) the student keeps.
 """
 
 import numpy as np
 
-from podlearn import PodMode, Tensor, pod_flat, pod_pooled
+from podlearn import PodConfig, PodMode, StageOutputs, Tensor, pod_final, pod_targets
+
+
+def ones(batch):
+    return Tensor(np.ones((batch, 1)))
+
+
+def pooled(teacher, student, mode):
+    """The loss of one student map against the teacher's: the stage term alone."""
+    rows = pod_targets(StageOutputs([teacher], ones(len(teacher.data))), mode)
+    return pod_final(rows, StageOutputs([student], ones(len(teacher.data))),
+                     PodConfig(lambda_c=1.0, lambda_f=0.0, mode=mode), 1.0)
+
+
+def flat(teacher, student):
+    """The flat term alone: no stage maps, only the embeddings."""
+    rows = pod_targets(StageOutputs([], teacher), PodMode.SPATIAL)
+    return pod_final(rows, StageOutputs([], student), PodConfig(lambda_c=0.0, lambda_f=1.0), 1.0)
+
 
 rng = np.random.default_rng(0)
 a = rng.normal(size=(1, 4, 6, 6))
@@ -28,7 +47,7 @@ print("-" * len(header))
 ta = Tensor(a)
 for name, b in perturbations.items():
     tb = Tensor(b)
-    row = "".join(f"{pod_pooled(ta, tb, m).item():9.4f}" for m in modes)
+    row = "".join(f"{pooled(ta, tb, m).item():9.4f}" for m in modes)
     print(f"{name:>20} |{row}")
 
 print()
@@ -37,14 +56,14 @@ print("channel mode forgives channel swaps; gap forgives any spatial move;")
 print("width/height forgive moves along their own axis only. spatial is")
 print("exactly width + height:")
 b = Tensor(rng.normal(size=(1, 4, 6, 6)))
-w = pod_pooled(ta, b, PodMode.WIDTH).item()
-h = pod_pooled(ta, b, PodMode.HEIGHT).item()
-s = pod_pooled(ta, b, PodMode.SPATIAL).item()
+w = pooled(ta, b, PodMode.WIDTH).item()
+h = pooled(ta, b, PodMode.HEIGHT).item()
+s = pooled(ta, b, PodMode.SPATIAL).item()
 print(f"  width {w:.6f} + height {h:.6f} = {w + h:.6f} == spatial {s:.6f}")
 
 print()
 print("the flat-embedding constraint lives on the unit sphere: scale is free,")
 print("direction is not.")
 e = rng.normal(size=(2, 8))
-print("  same direction, doubled:", pod_flat(Tensor(e), Tensor(2 * e)).item())
-print("  antipodal             :", pod_flat(Tensor(e), Tensor(-e)).item(), "(max = 4)")
+print("  same direction, doubled:", flat(Tensor(e), Tensor(2 * e)).item())
+print("  antipodal             :", flat(Tensor(e), Tensor(-e)).item(), "(max = 4)")

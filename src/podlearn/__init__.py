@@ -34,7 +34,7 @@ from .lsc import (
     nca_hinge_loss,
 )
 from .memory import ExemplarMemory, PerClass, Total, herd_select
-from .pod import PodConfig, PodMode, pod_final, pod_flat, pod_pooled, pod_targets
+from .pod import PodConfig, PodMode, pod_final, pod_targets
 from .protocol import (
     IncrementalRunner,
     RunConfig,
@@ -88,8 +88,6 @@ __all__ = [
     "nca_hinge_loss",
     "no_grad",
     "pod_final",
-    "pod_flat",
-    "pod_pooled",
     "pod_targets",
     "run_schedule",
     "save_dataset",

@@ -167,7 +167,9 @@ class ExperimentConfig:
                     f"got {self.dataset!r}"
                 )
             self.schedule()
-            self.budget()
+            # both budgets: a value the memory mode leaves unused is checked too
+            PerClass(self.memory_per_class)
+            Total(self.memory_total)
             self.run_config((self.channels, self.width, self.height))
         except ContractError as err:
             raise ConfigError(str(err))

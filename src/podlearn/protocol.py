@@ -45,16 +45,17 @@ class TaskSchedule:
             raise ContractError("class_order must be a permutation of 0..N-1")
         if not (1 <= self.initial_task_size <= total):
             raise ContractError(f"bad initial_task_size {self.initial_task_size}")
+        if self.increment < 1:
+            raise ContractError(f"increment must be >= 1, got {self.increment}")
         rest = total - self.initial_task_size
-        if rest and (self.increment < 1 or rest % self.increment):
+        if rest % self.increment:
             raise ContractError(
                 f"{rest} remaining classes do not divide into increments of {self.increment}"
             )
 
     @property
     def num_tasks(self) -> int:
-        rest = len(self.class_order) - self.initial_task_size
-        return 1 + (rest // self.increment if rest else 0)
+        return 1 + (len(self.class_order) - self.initial_task_size) // self.increment
 
     def positions(self, task: int) -> range:
         """Schedule positions of the classes task ``task`` (0-based) introduces."""
@@ -350,7 +351,9 @@ class IncrementalRunner:
         indices = np.concatenate(parts + [self.memory.indices()])
         return indices, self.train_y[indices]
 
-    def _classifier_loss(self, yhat: Tensor, labels: np.ndarray) -> Tensor:
+    def _head_loss(self, emb: Tensor, labels: np.ndarray) -> Tensor:
+        """The classification loss of the embeddings ``emb`` against ``labels``."""
+        yhat = lsc_scores(emb, self.bank)
         if self.config.classifier_loss == "ce":
             return cross_entropy_loss(yhat, labels, self.bank.eta)
         return nca_hinge_loss(yhat, labels, self.bank.eta, self.config.margin)
@@ -403,7 +406,7 @@ class IncrementalRunner:
         for the same rows; ``targets`` is None when there is no teacher.
         """
         outs = self.backbone.forward_with_stages(Tensor(self.dataset.train_x[rows]))
-        loss = self._classifier_loss(lsc_scores(outs.embedding, self.bank), labels)
+        loss = self._head_loss(outs.embedding, labels)
         if targets is None:
             return loss
         return loss + pod_final(targets, outs, self.config.pod, lam)
@@ -417,7 +420,7 @@ class IncrementalRunner:
         emb = _embed_all(self.backbone, self.dataset.train_x, indices)
 
         def batch_loss(sel):
-            return self._classifier_loss(lsc_scores(Tensor(emb[sel]), self.bank), labels[sel])
+            return self._head_loss(Tensor(emb[sel]), labels[sel])
 
         self._sgd_epochs(self.bank.parameters(), cfg.finetune_lr, cfg.finetune_epochs,
                          indices.size, batch_loss)

@@ -16,7 +16,7 @@ from podlearn.datasets import generate_synthetic_dataset
 from podlearn.gradcheck import gradient_check
 from podlearn.lsc import ProxyBank, kmeans, lsc_scores, nca_hinge_loss
 from podlearn.memory import ExemplarMemory, PerClass, Total, herd_select
-from podlearn.pod import PodMode, pod_flat, pod_pooled
+from podlearn.pod import PodMode
 from podlearn.protocol import (
     TaskSchedule,
     adaptive_scale,
@@ -33,6 +33,7 @@ from oracles import (
     pod_flat_oracle,
     pod_pooled_oracle,
 )
+from pod_helpers import pod_embedding, pod_map
 
 pytestmark = pytest.mark.slow
 
@@ -53,19 +54,19 @@ def test_a1_gradient_integrity():
     worst = 0.0
 
     rng = np.random.default_rng(101)
-    fixed = Tensor(rng.uniform(0.5, 1.5, size=(1, 2, 3, 3)))
+    fixed = rng.uniform(0.5, 1.5, size=(1, 2, 3, 3))
     for mode in PodMode:
         for _ in range(points):
             pt = Tensor(rng.uniform(0.5, 1.5, size=(1, 2, 3, 3)))
             err = gradient_check(
-                lambda t, m=mode: pod_pooled(t, fixed, m), pt, eps
+                lambda t, m=mode: pod_map(fixed, t, m), pt, eps
             )
             worst = max(worst, err)
 
-    flat_fixed = Tensor(rng.normal(size=(2, 5)))
+    flat_fixed = rng.normal(size=(2, 5))
     for _ in range(points):
         pt = Tensor(rng.normal(size=(2, 5)))
-        worst = max(worst, gradient_check(lambda t: pod_flat(t, flat_fixed), pt, eps))
+        worst = max(worst, gradient_check(lambda t: pod_embedding(flat_fixed, t), pt, eps))
 
     bank = ProxyBank(6, 3)
     for _ in range(4):
@@ -113,20 +114,20 @@ def test_a2_pod_algebra():
         a = rng.normal(size=(2, 3, 4, 5))
         b = rng.normal(size=(2, 3, 4, 5))
         ta, tb = Tensor(a), Tensor(b)
-        w = pod_pooled(ta, tb, PodMode.WIDTH).item()
-        h = pod_pooled(ta, tb, PodMode.HEIGHT).item()
-        s = pod_pooled(ta, tb, PodMode.SPATIAL).item()
+        w = pod_map(a, tb, PodMode.WIDTH).item()
+        h = pod_map(a, tb, PodMode.HEIGHT).item()
+        s = pod_map(a, tb, PodMode.SPATIAL).item()
         ok &= s == w + h
         for mode in PodMode:
-            ok &= pod_pooled(ta, ta, mode).item() == 0.0
+            ok &= pod_map(a, ta, mode).item() == 0.0
         chan = a[:, rng.permutation(3), :, :]
-        ok &= abs(pod_pooled(ta, Tensor(chan), PodMode.CHANNEL).item()) <= 1e-12
+        ok &= abs(pod_map(a, Tensor(chan), PodMode.CHANNEL).item()) <= 1e-12
         flat = a.reshape(2, 3, 20)[:, :, rng.permutation(20)].reshape(2, 3, 4, 5)
-        ok &= abs(pod_pooled(ta, Tensor(flat), PodMode.GAP).item()) <= 1e-12
+        ok &= abs(pod_map(a, Tensor(flat), PodMode.GAP).item()) <= 1e-12
         wperm = a[:, :, rng.permutation(4), :]
-        ok &= abs(pod_pooled(ta, Tensor(wperm), PodMode.WIDTH).item()) <= 1e-12
+        ok &= abs(pod_map(a, Tensor(wperm), PodMode.WIDTH).item()) <= 1e-12
         hperm = a[:, :, :, rng.permutation(5)]
-        ok &= abs(pod_pooled(ta, Tensor(hperm), PodMode.HEIGHT).item()) <= 1e-12
+        ok &= abs(pod_map(a, Tensor(hperm), PodMode.HEIGHT).item()) <= 1e-12
     _report("A2 POD algebra", ok, "(50 random tensors, tolerance 1e-12)")
 
 
@@ -142,13 +143,13 @@ def test_a3_oracle_equivalence():
         a = rng.normal(size=(2, 2, 3, 3))
         b = rng.normal(size=(2, 2, 3, 3))
         for mode in PodMode:
-            got = pod_pooled(Tensor(a), Tensor(b), mode).item()
+            got = pod_map(a, Tensor(b), mode).item()
             want = pod_pooled_oracle(a.tolist(), b.tolist(), mode.value)
             worst = max(worst, abs(got - want))
         e1, e2 = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
         worst = max(
             worst,
-            abs(pod_flat(Tensor(e1), Tensor(e2)).item()
+            abs(pod_embedding(e1, Tensor(e2)).item()
                 - pod_flat_oracle(e1.tolist(), e2.tolist())),
         )
         theta = [rng.normal(size=(3, 6)) for _ in range(4)]

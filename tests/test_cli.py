@@ -249,6 +249,21 @@ def test_run_zero_proxies_exits_one_before_the_output_directory(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    # one task, so no increment is ever taken
+    ("classes = 5\ninitial_task_size = 5\nincrement = -7", "increment must be >= 1, got -7"),
+    ("memory_mode = per_class\nmemory_total = -1", "Total budget must be >= 1, got -1"),
+    ("memory_mode = total\nmemory_per_class = 0", "PerClass budget must be >= 1, got 0"),
+])
+def test_run_rejects_an_invalid_value_the_run_would_not_use(tmp_path, capsys, text, message):
+    # every value is checked, so none is echoed into summary.json or a checkpoint
+    cfg_path = _write(tmp_path, text)
+    out = tmp_path / "o"
+    assert main(["run", cfg_path, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_run_overflowing_synthetic_noise_is_a_config_error(tmp_path, capsys):
     cfg_path = _write(tmp_path, TINY_CONFIG + "noise_sigma = 1e308\n")
     assert main(["run", cfg_path, "--output", str(tmp_path / "o")]) == 1

@@ -5,11 +5,12 @@ import pytest
 from podlearn.backbone import StageOutputs
 from podlearn.errors import ContractError, ShapeError
 from podlearn.gradcheck import gradient_check
-from podlearn.pod import PodConfig, PodMode, pod_final, pod_flat, pod_pooled, pod_targets
+from podlearn.pod import PodConfig, PodMode, pod_final, pod_targets
 from podlearn.pod import _POOLED_AXES, _pooled
 from podlearn.tensor import Tensor, unit_vectors
 
 from oracles import pod_final_oracle, pod_flat_oracle, pod_pooled_oracle, pooled_vector
+from pod_helpers import pod_embedding, pod_map
 
 MODES = [PodMode.PIXEL, PodMode.CHANNEL, PodMode.GAP, PodMode.WIDTH,
          PodMode.HEIGHT, PodMode.SPATIAL]
@@ -17,26 +18,26 @@ MODES = [PodMode.PIXEL, PodMode.CHANNEL, PodMode.GAP, PodMode.WIDTH,
 
 @pytest.mark.parametrize("mode", MODES)
 def test_identical_inputs_give_zero(mode):
-    a = Tensor(np.random.default_rng(0).normal(size=(2, 2, 3, 3)))
-    assert pod_pooled(a, a, mode).item() == 0.0
+    a = np.random.default_rng(0).normal(size=(2, 2, 3, 3))
+    assert pod_map(a, Tensor(a), mode).item() == 0.0
 
 
 def test_checkerboard_symmetry_case():
     # squared row sums and column sums are [1, 1] for both maps, so width,
     # height, and spatial vanish while pixel sees the difference
-    a = Tensor(np.array([[[[1.0, 0.0], [0.0, 1.0]]]]))
+    a = np.array([[[[1.0, 0.0], [0.0, 1.0]]]])
     b = Tensor(np.array([[[[0.0, 1.0], [1.0, 0.0]]]]))
-    assert pod_pooled(a, b, PodMode.WIDTH).item() == pytest.approx(0.0, abs=1e-15)
-    assert pod_pooled(a, b, PodMode.HEIGHT).item() == pytest.approx(0.0, abs=1e-15)
-    assert pod_pooled(a, b, PodMode.SPATIAL).item() == pytest.approx(0.0, abs=1e-15)
-    assert pod_pooled(a, b, PodMode.PIXEL).item() > 0.0
+    assert pod_map(a, b, PodMode.WIDTH).item() == pytest.approx(0.0, abs=1e-15)
+    assert pod_map(a, b, PodMode.HEIGHT).item() == pytest.approx(0.0, abs=1e-15)
+    assert pod_map(a, b, PodMode.SPATIAL).item() == pytest.approx(0.0, abs=1e-15)
+    assert pod_map(a, b, PodMode.PIXEL).item() > 0.0
 
 
 def test_channel_mode_ignores_channel_permutation():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(1, 3, 4, 4))
     b = a[:, [2, 0, 1], :, :]
-    loss = pod_pooled(Tensor(a), Tensor(b), PodMode.CHANNEL)
+    loss = pod_map(a, Tensor(b), PodMode.CHANNEL)
     assert loss.item() == pytest.approx(0.0, abs=1e-15)
 
 
@@ -46,7 +47,7 @@ def test_matches_scalar_oracle(mode):
     for _ in range(5):
         a = rng.normal(size=(2, 2, 3, 3))
         b = rng.normal(size=(2, 2, 3, 3))
-        got = pod_pooled(Tensor(a), Tensor(b), mode).item()
+        got = pod_map(a, Tensor(b), mode).item()
         want = pod_pooled_oracle(a.tolist(), b.tolist(), mode.value)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -103,21 +104,21 @@ def test_pooled_rows_match_the_axis_sums(mode):
 def test_spatial_is_exactly_width_plus_height():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        a = Tensor(rng.normal(size=(2, 3, 4, 5)))
+        a = rng.normal(size=(2, 3, 4, 5))
         b = Tensor(rng.normal(size=(2, 3, 4, 5)))
-        w = pod_pooled(a, b, PodMode.WIDTH).item()
-        h = pod_pooled(a, b, PodMode.HEIGHT).item()
-        s = pod_pooled(a, b, PodMode.SPATIAL).item()
+        w = pod_map(a, b, PodMode.WIDTH).item()
+        h = pod_map(a, b, PodMode.HEIGHT).item()
+        s = pod_map(a, b, PodMode.SPATIAL).item()
         assert s == w + h  # exact: same floating-point operations
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_symmetry_in_arguments(mode):
     rng = np.random.default_rng(5)
-    a = Tensor(rng.normal(size=(2, 2, 3, 3)))
-    b = Tensor(rng.normal(size=(2, 2, 3, 3)))
+    a = rng.normal(size=(2, 2, 3, 3))
+    b = rng.normal(size=(2, 2, 3, 3))
     npt.assert_allclose(
-        pod_pooled(a, b, mode).item(), pod_pooled(b, a, mode).item(), atol=1e-12
+        pod_map(a, Tensor(b), mode).item(), pod_map(b, Tensor(a), mode).item(), atol=1e-12
     )
 
 
@@ -126,62 +127,64 @@ def test_non_square_maps_supported():
     a = rng.normal(size=(1, 2, 5, 3))
     b = rng.normal(size=(1, 2, 5, 3))
     for mode in MODES:
-        got = pod_pooled(Tensor(a), Tensor(b), mode).item()
+        got = pod_map(a, Tensor(b), mode).item()
         want = pod_pooled_oracle(a.tolist(), b.tolist(), mode.value)
         assert got == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_gradient_into_second_argument(mode):
-    # A1 checks the first argument; the fused vjp fills each side separately
+    # into the student, the only side gradients reach, on non-square maps of
+    # two samples (A1 checks single 3 x 3 ones)
     rng = np.random.default_rng(20)
-    fixed = Tensor(rng.normal(size=(2, 2, 3, 4)))
+    fixed = rng.normal(size=(2, 2, 3, 4))
     for _ in range(5):
         point = Tensor(rng.normal(size=(2, 2, 3, 4)))
-        assert gradient_check(lambda t: pod_pooled(fixed, t, mode), point, eps=1e-5) <= 1e-4
+        assert gradient_check(lambda t: pod_map(fixed, t, mode), point, eps=1e-5) <= 1e-4
 
 
 def test_shape_mismatch_rejected():
-    with pytest.raises(ShapeError):
-        pod_pooled(Tensor(np.zeros((1, 2, 3, 3))), Tensor(np.zeros((1, 2, 3, 4))),
-                   PodMode.PIXEL)
-    # an empty batch is rejected on the path all three losses share
+    # a map of another size gives pixel targets of another width
+    with pytest.raises(ShapeError, match=r"targets \(1, 19\).*expected \(1, 25\)"):
+        pod_map(np.zeros((1, 2, 3, 3)), Tensor(np.zeros((1, 2, 3, 4))), PodMode.PIXEL)
+    # an empty batch is rejected by _rows, which pod_final shares with pod_targets
     with pytest.raises(ShapeError, match="at least one sample"):
-        pod_flat(Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))))
+        pod_final(np.zeros((0, 4)), StageOutputs([], Tensor(np.zeros((0, 4)))),
+                  PodConfig(0.0, 1.0), 1.0)
 
 
 # -- flat embedding constraint ------------------------------------------------
 
 
 def test_flat_identical_is_zero():
-    h = Tensor(np.random.default_rng(7).normal(size=(3, 8)))
-    assert pod_flat(h, h).item() == 0.0
+    h = np.random.default_rng(7).normal(size=(3, 8))
+    assert pod_embedding(h, Tensor(h)).item() == 0.0
 
 
 def test_flat_scale_invariance():
     h = np.random.default_rng(8).normal(size=(3, 8))
-    assert pod_flat(Tensor(h), Tensor(2.0 * h)).item() == pytest.approx(0.0, abs=1e-15)
+    assert pod_embedding(h, Tensor(2.0 * h)).item() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_flat_antipodal_is_four():
     h = np.random.default_rng(9).normal(size=(3, 8))
-    assert pod_flat(Tensor(h), Tensor(-h)).item() == pytest.approx(4.0, abs=1e-12)
+    assert pod_embedding(h, Tensor(-h)).item() == pytest.approx(4.0, abs=1e-12)
 
 
 def test_flat_matches_oracle():
     rng = np.random.default_rng(10)
     a = rng.normal(size=(4, 6))
     b = rng.normal(size=(4, 6))
-    got = pod_flat(Tensor(a), Tensor(b)).item()
+    got = pod_embedding(a, Tensor(b)).item()
     assert got == pytest.approx(pod_flat_oracle(a.tolist(), b.tolist()), abs=1e-12)
 
 
 def test_flat_gradient_into_second_argument():
     rng = np.random.default_rng(24)
-    fixed = Tensor(rng.normal(size=(3, 5)))
+    fixed = rng.normal(size=(3, 5))
     for _ in range(5):
         point = Tensor(rng.normal(size=(3, 5)))
-        assert gradient_check(lambda t: pod_flat(fixed, t), point, eps=1e-5) <= 1e-4
+        assert gradient_check(lambda t: pod_embedding(fixed, t), point, eps=1e-5) <= 1e-4
 
 
 # -- combined loss --------------------------------------------------------------
@@ -198,7 +201,7 @@ def test_final_reduces_to_flat_when_lambda_c_zero():
     t, s = _random_outputs(rng), _random_outputs(rng)
     cfg = PodConfig(lambda_c=0.0, lambda_f=2.0)
     got = pod_final(pod_targets(t, cfg.mode), s, cfg, scale_factor=3.0).item()
-    want = 3.0 * 2.0 * pod_flat(t.embedding, s.embedding).item()
+    want = 3.0 * 2.0 * pod_embedding(t.embedding.data, s.embedding).item()
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -208,7 +211,7 @@ def test_final_reduces_to_stage_mean_when_lambda_f_zero():
     cfg = PodConfig(lambda_c=4.0, lambda_f=0.0, mode=PodMode.PIXEL)
     got = pod_final(pod_targets(t, cfg.mode), s, cfg, scale_factor=1.0).item()
     per_stage = [
-        pod_pooled(tm, sm, PodMode.PIXEL).item()
+        pod_map(tm.data, sm, PodMode.PIXEL).item()
         for tm, sm in zip(t.stage_maps, s.stage_maps)
     ]
     assert got == pytest.approx(4.0 * sum(per_stage) / 2, abs=1e-12)
@@ -337,7 +340,7 @@ def test_gap_mode_ignores_spatial_permutation():
     flat = a.reshape(1, 3, 16)
     perm = rng.permutation(16)
     b = flat[:, :, perm].reshape(1, 3, 4, 4)
-    assert pod_pooled(Tensor(a), Tensor(b), PodMode.GAP).item() == pytest.approx(
+    assert pod_map(a, Tensor(b), PodMode.GAP).item() == pytest.approx(
         0.0, abs=1e-15
     )
 
@@ -346,18 +349,18 @@ def test_width_mode_ignores_permutation_along_width():
     rng = np.random.default_rng(17)
     a = rng.normal(size=(1, 2, 5, 3))
     b = a[:, :, rng.permutation(5), :]
-    assert pod_pooled(Tensor(a), Tensor(b), PodMode.WIDTH).item() == pytest.approx(
+    assert pod_map(a, Tensor(b), PodMode.WIDTH).item() == pytest.approx(
         0.0, abs=1e-15
     )
     # but pixel mode sees it (general position)
-    assert pod_pooled(Tensor(a), Tensor(b), PodMode.PIXEL).item() > 1e-6
+    assert pod_map(a, Tensor(b), PodMode.PIXEL).item() > 1e-6
 
 
 def test_height_mode_ignores_permutation_along_height():
     rng = np.random.default_rng(18)
     a = rng.normal(size=(1, 2, 3, 5))
     b = a[:, :, :, rng.permutation(5)]
-    assert pod_pooled(Tensor(a), Tensor(b), PodMode.HEIGHT).item() == pytest.approx(
+    assert pod_map(a, Tensor(b), PodMode.HEIGHT).item() == pytest.approx(
         0.0, abs=1e-15
     )
 
@@ -367,4 +370,4 @@ def test_pixel_mode_zero_only_at_identity():
     a = rng.normal(size=(1, 2, 3, 3))
     perm = np.array([1, 0, 2])
     b = a[:, :, perm, :]
-    assert pod_pooled(Tensor(a), Tensor(b), PodMode.PIXEL).item() > 1e-6
+    assert pod_map(a, Tensor(b), PodMode.PIXEL).item() > 1e-6

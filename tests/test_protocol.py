@@ -398,7 +398,7 @@ def test_from_state_takes_margin_and_budget_from_the_config(first_task_state):
     with no_grad():
         emb = revived.backbone.forward_with_stages(Tensor(ds.train_x[rows])).embedding
         scores = lsc_scores(emb, revived.bank)
-        got = revived._classifier_loss(scores, revived.train_y[rows]).item()
+        got = revived._head_loss(emb, revived.train_y[rows]).item()
         want = nca_hinge_loss(scores, revived.train_y[rows], revived.bank.eta, 0.1).item()
         saved = nca_hinge_loss(scores, revived.train_y[rows], revived.bank.eta, 0.6).item()
     assert got == want and got != saved
@@ -794,6 +794,20 @@ def test_sgd_momentum_and_weight_decay_hand_steps():
 # -- the training step ------------------------------------------------------------
 
 
+def _off_kink(runner, emb, labels, count=6):
+    """Positions of the first ``count`` rows of ``emb`` whose pre-hinge NCA
+    value under ``labels`` lies at least 0.02 from the kink."""
+    eta, delta = float(runner.bank.eta.data), runner.config.margin
+    with no_grad():
+        scaled = eta * lsc_scores(Tensor(emb), runner.bank).data
+    target = scaled[np.arange(labels.size), labels]
+    others = np.log(np.exp(scaled).sum(axis=1) - np.exp(target))
+    pre = others - target + eta * delta
+    keep = np.flatnonzero(np.abs(pre) >= 0.02)[:count]
+    assert keep.size == count and (pre[keep] > 0).any()  # some NCA gradient flows
+    return keep
+
+
 def _step_inputs(classifier_loss, task):
     """A trained runner and the rows, labels, targets and lambda of one step of ``task``.
 
@@ -811,17 +825,8 @@ def _step_inputs(classifier_loss, task):
     lam = adaptive_scale(new.stop, len(new))
 
     candidates = np.random.default_rng(9).permutation(np.flatnonzero(runner.train_y < new.stop))
-    labels = runner.train_y[candidates]
-    eta, delta = float(runner.bank.eta.data), runner.config.margin
-    with no_grad():
-        emb = runner.backbone.forward_with_stages(Tensor(ds.train_x[candidates])).embedding
-        scaled = eta * lsc_scores(emb, runner.bank).data
-    target = scaled[np.arange(labels.size), labels]
-    others = np.log(np.exp(scaled).sum(axis=1) - np.exp(target))
-    pre = others - target + eta * delta
-    keep = np.flatnonzero(np.abs(pre) >= 0.02)[:6]
-    assert keep.size == 6 and (pre[keep] > 0).any()  # some NCA gradient flows
-    rows = candidates[keep]
+    rows = candidates[_off_kink(runner, _embed_all(runner.backbone, ds.train_x, candidates),
+                                runner.train_y[candidates])]
     targets = None
     if task:
         targets = _forward_rows(teacher, ds.train_x, rows,
@@ -851,6 +856,31 @@ def test_step_loss_gradients_of_every_parameter(classifier_loss, task):
     if targets is not None:  # the student has moved off its teacher: POD adds to the loss
         alone = runner._step_loss(rows, labels, None, lam).item()
         assert alone < runner._step_loss(rows, labels, targets, lam).item()
+
+
+@pytest.mark.parametrize("classifier_loss", ["nca", "ce"])
+def test_head_loss_gradients_of_theta_and_eta(classifier_loss):
+    # the loss the balanced finetune differentiates: classification of the
+    # memory's cached embeddings, checked in theta and eta after task 1
+    ds = _tiny_dataset()
+    sched = TaskSchedule.build(4, 2, 1, seed=9)
+    runner = IncrementalRunner(sched, _tiny_config(classifier_loss=classifier_loss), ds, seed=9)
+    runner.run_next_task()
+    runner.run_next_task()
+    indices = runner.memory.indices()
+    emb = _embed_all(runner.backbone, ds.train_x, indices)
+    labels = runner.train_y[indices]
+    keep = _off_kink(runner, emb, labels)
+    bank = vars(runner.bank)
+    for name in ("theta", "eta"):
+        point = Tensor(bank[name].data.copy())
+
+        def loss(value, name=name):
+            bank[name] = value
+            return runner._head_loss(Tensor(emb[keep]), labels[keep])
+
+        assert gradient_check(loss, point, eps=1e-5) <= 1e-6, name
+        bank[name] = Tensor(point.data, requires_grad=True)
 
 
 def test_sgd_step_and_eta_floor_match_numpy(first_task_state):
