@@ -47,6 +47,7 @@ def _write_outputs(out_dir: str, cfg: ExperimentConfig, runner: IncrementalRunne
         "seed": cfg.seed,
         "tasks": len(m.nme_accuracy),
         "avg_incremental_accuracy": {"nme": m.avg_nme, "cnn": m.avg_cnn},
+        "eta": float(runner.bank.eta.data),
         "timed_tasks": timed_tasks,
         "wall_time_seconds": wall_time,
     }

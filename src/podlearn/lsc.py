@@ -1,16 +1,15 @@
 """Multi-proxy cosine classification head and its training losses.
 
 Each class owns K weight vectors ("proxies"). A sample's score for a class
-is a softmax-weighted average of its cosine similarities to that class's
-proxies, so multi-modal classes stay well represented as the embedding
-drifts across tasks. Training minimizes a hinged, margin-shifted NCA loss;
-new classes are initialized by imprinting k-means centroids of their
-embeddings.
+is a softmax-weighted average of its cosines to that class's proxies, so
+multi-modal classes stay well represented as the embedding drifts across
+tasks. Training minimizes a hinged, margin-shifted NCA loss; new classes
+are initialized by imprinting k-means centroids of their embeddings.
 
 The scores and both losses are one autodiff primitive each: a numpy forward
-and a hand-written vjp into the embedding and proxies (scores), or into the
-scores and the learned scale eta (losses). NCA and cross-entropy share one
-max-shifted logsumexp, so no scale overflows.
+and a hand-written vjp. The scores work proxy-major, on (K, C, B) cosines,
+so each reduction over a class's K proxies adds whole (C, B) slabs. NCA and
+cross-entropy share one max-shifted logsumexp, so no scale overflows.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, NumericError
-from .tensor import Tensor, _make, unit_vectors, unit_vectors_vjp
+from .tensor import _ZERO_NORM, Tensor, _make, unit_vectors, unit_vectors_vjp
 
 
 class ProxyBank:
@@ -73,10 +72,10 @@ class ProxyBank:
 def lsc_scores(h: Tensor, bank: ProxyBank) -> Tensor:
     """Averaged per-class similarity in [-1, 1], shape (B, #classes).
 
-    For each class, cosine similarities to its K proxies are softmax-weighted
-    and summed; with K == 1 this reduces to the plain cosine similarity. All
-    classes go through one matmul against the (C*K, D) unit proxies. One
-    primitive: its vjp goes into ``h`` and the proxy tensor.
+    Per class, the cosines to its K proxies are weighted by their softmax w
+    and summed (K == 1: the plain cosine). Row k*C + c of one (K*C, D) copy
+    of theta is proxy k of class c, so one matmul gives (K, C, B) cosines; the
+    vjp into ``h`` and theta uses ``d score / d sim_k = w_k (1 + sim_k - score)``.
     """
     if h.data.ndim != 2 or h.shape[1] != bank.dim:
         raise ContractError(f"embedding shape {h.shape} does not match proxy dim {bank.dim}")
@@ -84,83 +83,78 @@ def lsc_scores(h: Tensor, bank: ProxyBank) -> Tensor:
         raise ContractError("ProxyBank holds no classes yet")
     theta = bank.theta
     C, K, D = theta.shape
-    B = h.shape[0]
     unit_h = unit_vectors(h.data)
-    proxies = unit_vectors(theta.data.reshape(C * K, D))
-    for (_, alive, _), what in ((unit_h, "embedding"), (proxies, "proxy weights")):
+    unit_p = theta.data.transpose(1, 0, 2).copy().reshape(K * C, D)
+    norms = np.sqrt(np.einsum("ij,ij->i", unit_p, unit_p))[:, None]
+    for alive, what in ((unit_h[1], "embedding"), (norms > _ZERO_NORM, "proxy weights")):
         if not alive.all():
             raise NumericError(f"{what} has a (near-)zero-norm vector; cosine undefined")
-    proxies_t = proxies[0].T.copy()                                  # (D, C*K)
-    sims = (unit_h[0] @ proxies_t).reshape(B, C, K)
-    e = np.exp(sims - sims.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)                      # softmax over K
+    unit_p /= norms
+    sims = (unit_p @ unit_h[0].T).reshape(K, C, -1)
+    w = sims - sims.max(axis=0)
+    np.exp(w, out=w)
+    w /= w.sum(axis=0)                                               # softmax over K
+    scores = np.einsum("kcb,kcb->cb", w, sims).T.copy()
 
     def vjp(g):
-        g = g[:, :, None]
-        g_weights = g * sims
-        dot = np.sum(g_weights * weights, axis=-1, keepdims=True)
-        g_sims = (g * weights + weights * (g_weights - dot)).reshape(B, C * K)
-        g_h = unit_vectors_vjp(g_sims @ proxies_t.T, *unit_h) if h.requires_grad else None
-        g_theta = None
-        if theta.requires_grad:
-            g_proxies = (unit_h[0].T @ g_sims).T
-            g_theta = unit_vectors_vjp(g_proxies, *proxies).reshape(C, K, D)
-        return g_h, g_theta
+        g_sims = (1.0 - scores.T) + sims
+        g_sims *= w
+        g_sims *= g.T
+        g_sims = g_sims.reshape(K * C, -1)
+        g_h = unit_vectors_vjp(g_sims.T @ unit_p, *unit_h) if h.requires_grad else None
+        if not theta.requires_grad:
+            return g_h, None
+        g_p = g_sims @ unit_h[0]
+        g_p -= unit_p * np.einsum("ij,ij->i", g_p, unit_p)[:, None]
+        g_p /= norms
+        return g_h, g_p.reshape(K, C, D).transpose(1, 0, 2)
 
-    return _make((weights * sims).sum(axis=2), "lsc_scores", (h, theta), vjp)
+    return _make(scores, "lsc_scores", (h, theta), vjp)
 
 
 def _check_labels(yhat: Tensor, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels)
-    n_classes = yhat.shape[1]
+    if labels.dtype.kind not in "iu":
+        raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
     if yhat.data.ndim != 2:
         raise ContractError(f"scores must be (B, #classes), got {yhat.shape}")
     if labels.shape != (yhat.shape[0],):
         raise ContractError(f"labels shape {labels.shape} != ({yhat.shape[0]},)")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_classes:
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= yhat.shape[1]:
         raise ContractError("labels outside [0, #classes)")
-    return labels.astype(np.int64)
+    return labels
 
 
-def _logsumexp(scaled: np.ndarray, keep: np.ndarray):
-    """Row-wise ``log(sum(exp(scaled)))`` over the entries where ``keep`` is 1.
+def _scaled_target_loss(op: str, yhat: Tensor, labels: np.ndarray, eta, delta: float,
+                        nca: bool) -> Tensor:
+    """Batch mean of ``logsumexp(eta * yhat) - eta * (yhat_y - delta)``.
 
-    Each row is shifted by its largest kept entry, a constant that is added
-    back after the log, so no exponent exceeds 0 whatever the scale. Dropped
-    entries are shifted to exactly 0 and masked out after the exp. Returns
-    the row values, the shifted exponentials and their kept row sums; the
-    gradient of row i with respect to ``scaled`` is ``keep * exps / sums[i]``.
-    """
-    row_max = np.where(keep > 0, scaled, -np.inf).max(axis=1)
-    shift = np.where(keep > 0, row_max[:, None], scaled)
-    exps = np.exp(scaled - shift)
-    sums = (exps * keep).sum(axis=1)
-    return np.log(sums) + row_max, exps, sums
-
-
-def _scaled_target_loss(op: str, yhat: Tensor, labels: np.ndarray, eta, keep: np.ndarray,
-                        delta: float, hinge: bool) -> Tensor:
-    """Batch mean of ``logsumexp_keep(eta * yhat) - eta * (yhat_y - delta)``.
-
-    Hinged at 0 per sample when ``hinge``. One primitive: its vjp goes into
-    ``yhat``, and into ``eta`` when that is a tensor taking gradients.
+    With ``nca`` the logsumexp leaves out each row's target entry, and each
+    sample is hinged at 0. Every row is shifted by its largest kept entry, so
+    no exponent exceeds 0 whatever the scale; a left-out entry is set to
+    -inf, whose exp is exactly 0. One primitive: its vjp goes into ``yhat``,
+    and into ``eta`` when that is a tensor taking gradients.
     """
     eta_t = eta if isinstance(eta, Tensor) else Tensor(np.asarray(float(eta)))
-    onehot = np.zeros(yhat.shape)
-    onehot[np.arange(labels.size), labels] = 1.0
+    rows = np.arange(labels.size)
     scaled = yhat.data * eta_t.data
-    target = (scaled * onehot).sum(axis=1)                           # eta * score_y
-    lse, exps, sums = _logsumexp(scaled, keep)
-    per_sample = lse - (target - eta_t.data * delta)
+    target = scaled[rows, labels]                                    # eta * score_y
+    if nca:
+        scaled[rows, labels] = -np.inf
+    row_max = scaled.max(axis=1)
+    exps = np.exp(scaled - row_max[:, None])
+    sums = exps.sum(axis=1)
+    per_sample = np.log(sums) + row_max - (target - eta_t.data * delta)
     active = per_sample > 0
-    if hinge:
+    if nca:
         per_sample = np.where(active, per_sample, 0.0)
 
     def vjp(g):
         g_rows = np.broadcast_to(g, (yhat.shape[0],)) / yhat.shape[0]
-        if hinge:
+        if nca:
             g_rows = g_rows * active
-        g_scaled = (-g_rows)[:, None] * onehot + (g_rows / sums)[:, None] * keep * exps
+        g_scaled = (g_rows / sums)[:, None] * exps
+        g_scaled[rows, labels] -= g_rows
         g_eta = None
         if eta_t.requires_grad:
             g_eta = (g_scaled * yhat.data).sum(axis=0).sum(axis=0) + g_rows.sum(axis=0) * delta
@@ -181,16 +175,13 @@ def nca_hinge_loss(yhat: Tensor, labels, eta, delta: float) -> Tensor:
         raise ContractError("nca_hinge_loss needs >= 2 classes (empty denominator)")
     if delta < 0:
         raise ContractError(f"margin must be >= 0, got {delta}")
-    keep = np.ones(yhat.shape)
-    keep[np.arange(labels.size), labels] = 0.0
-    return _scaled_target_loss("nca_hinge_loss", yhat, labels, eta, keep, float(delta), True)
+    return _scaled_target_loss("nca_hinge_loss", yhat, labels, eta, float(delta), True)
 
 
 def cross_entropy_loss(yhat: Tensor, labels, eta) -> Tensor:
     """Plain cross-entropy over eta-scaled scores (the ablation head)."""
     labels = _check_labels(yhat, labels)
-    return _scaled_target_loss("cross_entropy_loss", yhat, labels, eta,
-                               np.ones(yhat.shape), 0.0, False)
+    return _scaled_target_loss("cross_entropy_loss", yhat, labels, eta, 0.0, False)
 
 
 def kmeans(points: np.ndarray, k: int, iters: int = 25, seed=0) -> np.ndarray:

@@ -240,7 +240,7 @@ def evaluate(
     emb = _embed_all(model, test_x, rows)
     labels = test_y[rows]
     nme_preds = (unit_vectors(emb)[0] @ means.T).argmax(axis=1)
-    # score in row chunks whose (rows, C*K) similarity block stays near
+    # score in row chunks whose (K, C, rows) similarity block stays near
     # _SCORE_BLOCK doubles, so the transient does not grow with the classes
     step = max(1, _SCORE_BLOCK // (bank.num_classes * bank.K))
     with no_grad():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -187,6 +188,8 @@ def test_run_outputs_summary_and_plot_data(tmp_path):
     assert summary["tasks"] == summary["timed_tasks"] == 3
     assert 0.0 <= summary["avg_incremental_accuracy"]["nme"] <= 1.0
     assert summary["seed"] == 0
+    # the final learned scale, so a run stuck at its floor shows
+    assert math.isfinite(summary["eta"]) and summary["eta"] >= summary["config"]["eta_init"]
     # flags such as balanced_finetune are recorded once, in the config echo
     assert summary["config"]["balanced_finetune"] is False and "metadata" not in summary
     # config echo reparses to an equal config

@@ -15,7 +15,7 @@ from podlearn.lsc import (
     nca_hinge_loss,
 )
 from podlearn.protocol import IncrementalRunner
-from podlearn.tensor import Tensor, mul, tsum
+from podlearn.tensor import Tensor, mul, no_grad, tsum
 
 from oracles import (
     kmeans_two_cluster_optima,
@@ -95,6 +95,61 @@ def test_scores_scale_invariant():
     npt.assert_allclose(a, b, atol=1e-12)
 
 
+# (B, C, K) with all three extents distinct, C == 1 and K == 1 included, so a
+# swapped class/proxy order in the proxy-major layout cannot pass
+LAYOUT_SHAPES = [(5, 7, 3), (4, 2, 6), (3, 1, 4), (6, 4, 1)]
+
+
+@pytest.mark.parametrize("B,C,K", LAYOUT_SHAPES)
+def test_scores_match_oracle_and_leave_theta_alone(B, C, K):
+    rng = np.random.default_rng(100 + 7 * B + C + K)
+    theta = rng.normal(size=(C, K, 5))
+    h = rng.normal(size=(B, 5))
+    bank = _bank(theta)
+    got = lsc_scores(Tensor(h), bank).data
+    assert got.shape == (B, C) and got.flags.c_contiguous
+    npt.assert_allclose(got, lsc_scores_oracle(h.tolist(), theta.tolist()), atol=1e-12)
+    assert bank.theta.data.tobytes() == theta.tobytes()
+
+
+@pytest.mark.parametrize("B,C,K", LAYOUT_SHAPES)
+def test_scores_gradients_into_embedding_and_proxies(B, C, K):
+    rng = np.random.default_rng(200 + 7 * B + C + K)
+    bank = _bank(rng.normal(size=(C, K, 5)))
+    h = Tensor(rng.normal(size=(B, 5)))
+    weights = Tensor(rng.normal(size=(B, C)))
+
+    def of_theta(theta):
+        bank.theta = theta
+        return tsum(mul(lsc_scores(h, bank), weights))
+
+    theta = Tensor(bank.theta.data.copy())
+    assert gradient_check(of_theta, theta, eps=1e-5) <= 1e-6
+    bank.theta = theta
+    assert gradient_check(lambda x: tsum(mul(lsc_scores(x, bank), weights)), h,
+                          eps=1e-5) <= 1e-6
+
+
+def test_zero_norm_last_proxy_of_second_class_is_numeric_fault():
+    rng = np.random.default_rng(24)
+    theta = rng.normal(size=(3, 4, 5))
+    theta[1, -1] = 0.0
+    with pytest.raises(NumericError, match="proxy weights"):
+        lsc_scores(Tensor(rng.normal(size=(2, 5))), _bank(theta))
+
+
+def test_scores_without_grad_are_bitwise_the_recorded_scores():
+    rng = np.random.default_rng(25)
+    bank = _bank(rng.normal(size=(6, 3, 5)))
+    h = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    recorded = lsc_scores(h, bank)
+    assert recorded.requires_grad
+    with no_grad():
+        plain = lsc_scores(h, bank)
+    assert not plain.requires_grad
+    assert plain.data.tobytes() == recorded.data.tobytes()
+
+
 # -- NCA hinge loss ---------------------------------------------------------------
 
 
@@ -137,6 +192,19 @@ def test_nca_single_class_rejected():
 def test_nca_bad_labels_rejected():
     with pytest.raises(ContractError):
         nca_hinge_loss(Tensor([[0.5, 0.1]]), [2], eta=1.0, delta=0.0)
+
+
+@pytest.mark.parametrize("labels", [np.array([0.7, 1.9]), np.array([True, False])])
+def test_nca_non_integer_labels_rejected(labels):
+    yhat = Tensor([[0.5, 0.1], [0.2, 0.3]])
+    with pytest.raises(ContractError, match=f"dtype {labels.dtype}"):
+        nca_hinge_loss(yhat, labels, eta=2.0, delta=0.6)
+
+
+@pytest.mark.parametrize("labels", [[0.0, 1.0], [True, False]])
+def test_cross_entropy_non_integer_labels_rejected(labels):
+    with pytest.raises(ContractError, match="labels must be integers"):
+        cross_entropy_loss(Tensor([[0.5, 0.1], [0.2, 0.3]]), labels, eta=2.0)
 
 
 def test_nca_monotone_in_target_score():
